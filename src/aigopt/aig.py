@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-import hashlib
-
 import numpy as np
+
+from .isop import var_mask
 
 KIND_CONST = 0
 KIND_PI = 1
@@ -36,14 +36,6 @@ class SequentialCircuitError(AigerError):
 
 def make_lit(index: int, complement: bool = False) -> int:
     return 2 * index + (1 if complement else 0)
-
-
-def lit_index(lit: int) -> int:
-    return lit >> 1
-
-
-def lit_compl(lit: int) -> bool:
-    return bool(lit & 1)
 
 
 def lit_not(lit: int) -> int:
@@ -92,13 +84,6 @@ class Aig:
     def first_and(self) -> int:
         return 1 + self.n_inputs
 
-    def kind(self, index: int) -> int:
-        if index == 0:
-            return KIND_CONST
-        if index <= self.n_inputs:
-            return KIND_PI
-        return KIND_AND
-
     def fanins(self, index: int) -> tuple[int, int]:
         return self.ands[index - self.first_and()]
 
@@ -125,9 +110,6 @@ class Aig:
         for o in self.outputs:
             counts[o >> 1] += 1
         return counts
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(write_aiger(self)).hexdigest()
 
     def __repr__(self) -> str:
         return (f"Aig(name={self.name!r}, inputs={self.n_inputs}, "
@@ -266,30 +248,30 @@ def _parse_ascii_body(body: bytes, maxvar: int, n_in: int, n_out: int,
         pos += 1
         return ln
 
+    def ints(line: bytes, count: int, what: str) -> list[int]:
+        tok = line.split()
+        if len(tok) == count:
+            try:
+                return [int(t) for t in tok]
+            except ValueError:
+                pass
+        raise AigerError(f"malformed {what} line")
+
     inputs = []
     for _ in range(n_in):
-        tok = next_line().split()
-        if len(tok) != 1:
-            raise AigerError("malformed input line")
-        lit = int(tok[0])
+        lit, = ints(next_line(), 1, "input")
         if lit < 2 or lit & 1 or lit > 2 * maxvar:
             raise AigerError(f"invalid input literal {lit}")
         inputs.append(lit)
     outputs = []
     for _ in range(n_out):
-        tok = next_line().split()
-        if len(tok) != 1:
-            raise AigerError("malformed output line")
-        lit = int(tok[0])
+        lit, = ints(next_line(), 1, "output")
         if lit < 0 or lit > 2 * maxvar + 1:
             raise AigerError(f"invalid output literal {lit}")
         outputs.append(lit)
     gates = []
     for _ in range(n_and):
-        tok = next_line().split()
-        if len(tok) != 3:
-            raise AigerError("malformed and-gate line")
-        lhs, rhs0, rhs1 = (int(t) for t in tok)
+        lhs, rhs0, rhs1 = ints(next_line(), 3, "and-gate")
         if lhs < 2 or lhs & 1 or lhs > 2 * maxvar:
             raise AigerError(f"invalid gate literal {lhs}")
         gates.append((lhs, rhs0, rhs1))
@@ -474,20 +456,6 @@ def simulate(aig: Aig, input_vectors: np.ndarray) -> np.ndarray:
     return result
 
 
-def _exhaustive_pi_words(n_inputs: int) -> tuple[list[int], int]:
-    width = 1 << n_inputs
-    words = []
-    for v in range(n_inputs):
-        period = 1 << (v + 1)
-        half = 1 << v
-        chunk = ((1 << half) - 1) << half
-        w = 0
-        for r in range(width // period):
-            w |= chunk << (r * period)
-        words.append(w)
-    return words, width
-
-
 def equivalent(a: Aig, b: Aig, budget: int = 1024, seed: int = 0) -> Equivalence:
     """Checks functional equality.
 
@@ -497,7 +465,8 @@ def equivalent(a: Aig, b: Aig, budget: int = 1024, seed: int = 0) -> Equivalence
     if a.n_inputs != b.n_inputs or a.n_outputs != b.n_outputs:
         raise ValueError("interface mismatch: differing input/output counts")
     if a.n_inputs <= EXHAUSTIVE_INPUT_LIMIT:
-        words, width = _exhaustive_pi_words(a.n_inputs)
+        words = [var_mask(v, a.n_inputs) for v in range(a.n_inputs)]
+        width = 1 << a.n_inputs
         return Equivalence(_eval_packed(a, words, width)
                            == _eval_packed(b, words, width), "exhaustive")
     rng = np.random.default_rng(seed)

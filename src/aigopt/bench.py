@@ -1,5 +1,5 @@
-"""Benchmark circuit generators, dataset splits, and the evaluation
-harness comparing search methods under a shared synthesis budget.
+"""Benchmark circuit generators and the evaluation harness comparing
+search methods under a shared synthesis budget.
 
 Generators build deliberately naive structures (ripple carries, majority
 carries, chained parity) so the optimization passes have real work to do;
@@ -163,18 +163,6 @@ def generate_circuit(family: str, size: int, seed: int = 0) -> Aig:
                      f"expected one of {FAMILIES}")
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
-    train: tuple[str, ...]
-    validation: tuple[str, ...]
-    test: tuple[str, ...]
-
-    def __post_init__(self):
-        sets = [set(self.train), set(self.validation), set(self.test)]
-        if (sets[0] & sets[1]) or (sets[0] & sets[2]) or (sets[1] & sets[2]):
-            raise ValueError("split sets must be pairwise disjoint")
-
-
 # ---------------------------------------------------------------------------
 # Evaluation harness
 # ---------------------------------------------------------------------------
@@ -290,19 +278,16 @@ def _run_one(circuit: Aig, circuit_id: str, method_name: str,
     cfg = MctsConfig(c_uct=c_uct, iterations=iterations, alpha=alpha_value,
                      seed=seed, recipe_len=recipe_len)
     evaluator = RecipeEvaluator(circuit, recipe_len=recipe_len, budget=budget,
-                                circuit_id=circuit_id,
                                 measure_time=measure_time)
     start = time.perf_counter() if measure_time else 0.0
-    result = generate_recipe(circuit, cfg,
-                             policy=policy if alpha_value > 0 else None,
-                             budget=budget, evaluator=evaluator)
+    result = generate_recipe(evaluator, cfg,
+                             policy=policy if alpha_value > 0 else None)
     wall = time.perf_counter() - start if measure_time else 0.0
-    base_adp = float(evaluator.baseline)
-    best = float(result.best_qor)
+    base_adp = evaluator.baseline
+    best = result.best_qor
     reduction = 100.0 * (1.0 - best / base_adp) if base_adp > 0 else 0.0
     row = EvalRow(method_name, circuit_id, seed, alpha_value, base_adp,
-                  float(result.final_qor), best, reduction,
-                  result.budget_used, wall)
+                  result.final_qor, best, reduction, result.budget_used, wall)
     return row, result.trace
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -22,7 +23,7 @@ from . import bench as bench_mod
 from . import ood as ood_mod
 from . import policy as policy_mod
 from .aig import parse_aiger, stats, write_aiger
-from .mcts import MctsConfig, RecipeEvaluator, generate_recipe
+from .mcts import MctsConfig, RecipeEvaluator, TraceRow, generate_recipe
 from .transforms import DEFAULT_RECIPE_LEN
 
 RESULTS_ENV = "AIGOPT_RESULTS"
@@ -73,10 +74,9 @@ def _load_circuit(path: Path):
 def _write_trace_csv(path: Path, trace) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("iteration", "prefix", "node_count", "depth",
-                         "adp_proxy", "reward", "wall_ns"))
+        writer.writerow(f.name for f in dataclasses.fields(TraceRow))
         for row in trace:
-            writer.writerow(row.as_tuple())
+            writer.writerow(dataclasses.astuple(row))
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,11 @@ def cmd_search(args) -> int:
     if args.alpha == "auto":
         bank = ood_mod.EmbeddingBank.load_csv(args.bank)
         gate = json.loads(Path(args.ood_config).read_text())
+        if not (isinstance(gate, dict)
+                and isinstance(gate.get("delta_th"), (int, float))
+                and isinstance(gate.get("temperature", 0.0), (int, float))):
+            raise ValueError(f"{args.ood_config}: OOD config needs a numeric "
+                             "delta_th (and optional temperature)")
         cfg = ood_mod.OodConfig(gate["delta_th"], gate.get("temperature", 0.0))
         d_min, nearest = ood_mod.min_distance(net.encode_aig(aig), bank)
         alpha_value = ood_mod.alpha(d_min, cfg)
@@ -140,15 +145,14 @@ def cmd_search(args) -> int:
                           alpha=alpha_value, seed=args.seed,
                           recipe_len=args.recipe_len)
     evaluator = RecipeEvaluator(aig, recipe_len=args.recipe_len,
-                                budget=args.budget, circuit_id=aig.name,
+                                budget=args.budget,
                                 measure_time=args.measure_time)
-    result = generate_recipe(aig, mcts_cfg,
-                             policy=net if alpha_value > 0 else None,
-                             budget=args.budget, evaluator=evaluator)
+    result = generate_recipe(evaluator, mcts_cfg,
+                             policy=net if alpha_value > 0 else None)
     print(f"recipe: {result.recipe}")
-    print(f"final adp: {float(result.final_qor):g}  "
-          f"best adp: {float(result.best_qor):g}  "
-          f"baseline adp: {float(evaluator.baseline):g}")
+    print(f"final adp: {result.final_qor:g}  "
+          f"best adp: {result.best_qor:g}  "
+          f"baseline adp: {evaluator.baseline:g}")
     print(f"synthesis calls: {result.budget_used}"
           + (" (budget exhausted)" if result.exhausted else ""))
     trace_path = out_dir / "trace.csv"
@@ -159,9 +163,9 @@ def cmd_search(args) -> int:
         "alpha": alpha_value,
         "recipe": str(result.recipe),
         "best_recipe": str(result.best_recipe),
-        "final_adp": float(result.final_qor),
-        "best_adp": float(result.best_qor),
-        "baseline_adp": float(evaluator.baseline),
+        "final_adp": result.final_qor,
+        "best_adp": result.best_qor,
+        "baseline_adp": evaluator.baseline,
         "budget_used": result.budget_used,
         "exhausted": result.exhausted,
         "cache_hits": result.cache_hits,

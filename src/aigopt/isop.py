@@ -178,18 +178,6 @@ def factor(cover: list[Cube]) -> Expr:
     return _balanced("or", cube_exprs)
 
 
-def expr_eval(expr: Expr, assignment: list[bool]) -> bool:
-    tag = expr[0]
-    if tag == "const":
-        return bool(expr[1])
-    if tag == "var":
-        value = assignment[expr[1]]
-        return (not value) if expr[2] else value
-    left = expr_eval(expr[1], assignment)
-    right = expr_eval(expr[2], assignment)
-    return (left and right) if tag == "and" else (left or right)
-
-
 def expr_tt(expr: Expr, n_vars: int) -> int:
     tag = expr[0]
     if tag == "const":

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from .aig import Aig, stats
-from .qor import QorValue, baseline_qor, qor, reward
+from .qor import baseline_qor, qor, reward
 from .transforms import DEFAULT_RECIPE_LEN, N_ACTIONS, Action, Recipe, apply
 
 PRIOR_FLOOR = 1e-6  # no action is ever permanently masked
@@ -42,13 +42,6 @@ class MctsConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if not 1 <= self.n_actions <= N_ACTIONS:
             raise ValueError(f"n_actions must lie in [1, {N_ACTIONS}]")
-
-
-@dataclass
-class SearchState:
-    circuit_id: str
-    prefix: tuple[Action, ...]
-    cached_aig: Aig
 
 
 class SearchNode:
@@ -134,13 +127,6 @@ class TraceRow:
     reward: float
     wall_ns: int
 
-    HEADER = ("iteration", "prefix", "node_count", "depth", "adp_proxy",
-              "reward", "wall_ns")
-
-    def as_tuple(self):
-        return (self.iteration, self.prefix, self.node_count, self.depth,
-                self.adp_proxy, self.reward, self.wall_ns)
-
 
 class RecipeEvaluator:
     """Prefix-memoized synthesis with budget enforcement.
@@ -151,12 +137,10 @@ class RecipeEvaluator:
     """
 
     def __init__(self, root: Aig, recipe_len: int = DEFAULT_RECIPE_LEN,
-                 budget: int | None = None, circuit_id: str = "",
-                 measure_time: bool = False):
+                 budget: int | None = None, measure_time: bool = False):
         self.root = root
         self.recipe_len = recipe_len
         self.budget = budget
-        self.circuit_id = circuit_id or root.name
         self.measure_time = measure_time
         self.calls = 0
         self.cache_hits = 0
@@ -165,10 +149,10 @@ class RecipeEvaluator:
         self.best_prefix: tuple[Action, ...] | None = None
         self._aigs: dict[tuple[Action, ...], Aig] = {(): root}
         self._rewards: dict[tuple[Action, ...], float] = {}
-        self._baseline: QorValue | None = None
+        self._baseline: float | None = None
 
     @property
-    def baseline(self) -> QorValue:
+    def baseline(self) -> float:
         if self._baseline is None:
             self._baseline = baseline_qor(self.root)
         return self._baseline
@@ -199,10 +183,10 @@ class RecipeEvaluator:
         start = time.perf_counter_ns() if self.measure_time else 0
         final = self.aig_for(prefix)
         wall = time.perf_counter_ns() - start if self.measure_time else 0
-        value = reward(qor(final), self.baseline)
-        self._rewards[prefix] = value
         s = stats(final)
         adp = float(s.node_count * s.depth)
+        value = reward(adp, self.baseline)
+        self._rewards[prefix] = value
         self.trace.append(TraceRow(self.calls, str(Recipe(prefix)),
                                    s.node_count, s.depth, adp, value, wall))
         if self.best_adp is None or adp < self.best_adp:
@@ -220,56 +204,11 @@ class SearchResult:
     exhausted: bool
 
 
-def _run_iterations(evaluator: RecipeEvaluator, root_prefix: tuple[Action, ...],
-                    root: SearchNode, config: MctsConfig, policy,
-                    rng: random.Random) -> SearchResult:
-    recipe_len = config.recipe_len
-    n_actions = config.n_actions
-    want_prior = policy is not None and config.alpha > 0.0
-    if want_prior and root.prior is None:
-        root.prior = list(policy.priors(evaluator.root, root_prefix))
-    completed = 0
-    exhausted = False
-    for _ in range(config.iterations):
-        path: list[tuple[SearchNode, int]] = []
-        prefix = root_prefix
-        node = root
-        try:
-            while True:
-                if len(prefix) == recipe_len:
-                    value = evaluator.terminal_reward(prefix)
-                    break
-                action = select(node, config.c_uct, config.alpha)
-                path.append((node, action))
-                prefix = prefix + (Action(action),)
-                unvisited = node.n[action] == 0
-                if action not in node.children:
-                    prior = (list(policy.priors(evaluator.root, prefix))
-                             if want_prior else None)
-                    node.children[action] = SearchNode(prior, n_actions)
-                if unvisited:
-                    value = rollout(evaluator, prefix, rng, config)
-                    break
-                node = node.children[action]
-        except BudgetExhausted:
-            exhausted = True
-            break
-        backup(path, value)
-        completed += 1
-    total = root.total_visits()
-    if total > 0:
-        pi = [root.n[a] / total for a in range(n_actions)]
-    else:
-        pi = [1.0 / n_actions] * n_actions
-    best = max(range(n_actions), key=lambda a: (pi[a], -a))
-    return SearchResult(pi, Action(best), completed, exhausted)
-
-
-def search(state: SearchState, config: MctsConfig, policy=None,
-           evaluator: RecipeEvaluator | None = None,
-           tree: SearchNode | None = None,
+def search(evaluator: RecipeEvaluator, prefix: tuple[Action, ...],
+           tree: SearchNode, config: MctsConfig, policy=None,
            rng: random.Random | None = None) -> SearchResult:
-    """Runs K select-expand-rollout-backup iterations from ``state``.
+    """Runs K select-expand-rollout-backup iterations below ``prefix``,
+    growing ``tree`` (the node of that prefix).
 
     Returns the normalized root visit-count distribution and its argmax.
     Deterministic given the seed. A policy must be attached whenever
@@ -277,60 +216,82 @@ def search(state: SearchState, config: MctsConfig, policy=None,
     """
     if policy is None and config.alpha > 0.0:
         raise ValueError("alpha > 0 requires a policy")
-    if len(state.prefix) >= config.recipe_len:
+    if len(prefix) >= config.recipe_len:
         raise ValueError("search requires a non-terminal prefix")
-    if evaluator is None:
-        if state.prefix:
-            raise ValueError("a shared evaluator is required to search from "
-                             "a non-empty prefix")
-        evaluator = RecipeEvaluator(state.cached_aig,
-                                    recipe_len=config.recipe_len,
-                                    circuit_id=state.circuit_id)
-    root_prefix = state.prefix
-    if tree is None:
-        tree = SearchNode(n_actions=config.n_actions)
     if rng is None:
         rng = random.Random(config.seed)
-    return _run_iterations(evaluator, root_prefix, tree, config, policy, rng)
+    recipe_len = config.recipe_len
+    n_actions = config.n_actions
+    want_prior = policy is not None and config.alpha > 0.0
+    if want_prior and tree.prior is None:
+        tree.prior = list(policy.priors(evaluator.root, prefix))
+    completed = 0
+    exhausted = False
+    for _ in range(config.iterations):
+        path: list[tuple[SearchNode, int]] = []
+        leaf = prefix
+        node = tree
+        try:
+            while True:
+                if len(leaf) == recipe_len:
+                    value = evaluator.terminal_reward(leaf)
+                    break
+                action = select(node, config.c_uct, config.alpha)
+                path.append((node, action))
+                leaf = leaf + (Action(action),)
+                unvisited = node.n[action] == 0
+                if action not in node.children:
+                    prior = (list(policy.priors(evaluator.root, leaf))
+                             if want_prior else None)
+                    node.children[action] = SearchNode(prior, n_actions)
+                if unvisited:
+                    value = rollout(evaluator, leaf, rng, config)
+                    break
+                node = node.children[action]
+        except BudgetExhausted:
+            exhausted = True
+            break
+        backup(path, value)
+        completed += 1
+    total = tree.total_visits()
+    if total > 0:
+        pi = [tree.n[a] / total for a in range(n_actions)]
+    else:
+        pi = [1.0 / n_actions] * n_actions
+    best = max(range(n_actions), key=lambda a: (pi[a], -a))
+    return SearchResult(pi, Action(best), completed, exhausted)
 
 
 @dataclass
 class RecipeResult:
     recipe: Recipe
-    final_qor: QorValue
-    best_qor: QorValue
+    final_qor: float
+    best_qor: float
     best_recipe: Recipe
     pis: list[list[float]]
     budget_used: int
     exhausted: bool
     trace: list[TraceRow] = field(repr=False)
     cache_hits: int = 0
-    baseline: QorValue | None = None
 
 
-def generate_recipe(root: Aig, config: MctsConfig, policy=None,
-                    budget: int | None = 100,
-                    evaluator: RecipeEvaluator | None = None,
-                    collect=None) -> RecipeResult:
-    """Builds a full recipe by running a search at each level and committing
-    the visit-count argmax, descending into the committed child.
+def generate_recipe(evaluator: RecipeEvaluator, config: MctsConfig,
+                    policy=None, collect=None) -> RecipeResult:
+    """Builds a full recipe for ``evaluator.root`` by running a search at
+    each level and committing the visit-count argmax, descending into the
+    committed child. The evaluator carries the synthesis budget.
 
     Reports both the committed recipe's QoR and the best QoR seen across
     all synthesized leaves. ``collect`` (if given) receives
     (prefix, pi, root_node) after each level, for training data capture.
     """
-    if policy is None and config.alpha > 0.0:
-        raise ValueError("alpha > 0 requires a policy")
-    if evaluator is None:
-        evaluator = RecipeEvaluator(root, recipe_len=config.recipe_len,
-                                    budget=budget)
     rng = random.Random(config.seed)
     node = SearchNode(n_actions=config.n_actions)
     prefix: tuple[Action, ...] = ()
     pis: list[list[float]] = []
     exhausted = False
     for _ in range(config.recipe_len):
-        result = _run_iterations(evaluator, prefix, node, config, policy, rng)
+        result = search(evaluator, prefix, node, config, policy, rng)
         exhausted = exhausted or result.exhausted
         pis.append(result.pi)
         if collect is not None:
@@ -339,10 +300,9 @@ def generate_recipe(root: Aig, config: MctsConfig, policy=None,
         prefix = prefix + (action,)
         node = node.children.get(int(action)) or SearchNode(
             n_actions=config.n_actions)
-    final_aig = evaluator.aig_for(prefix)
-    final = qor(final_aig)
-    if evaluator.best_adp is not None and evaluator.best_adp <= float(final):
-        best = QorValue(evaluator.best_adp)
+    final = qor(evaluator.aig_for(prefix))
+    if evaluator.best_adp is not None and evaluator.best_adp <= final:
+        best = evaluator.best_adp
         best_recipe = Recipe(evaluator.best_prefix)
     else:
         best = final
@@ -350,5 +310,4 @@ def generate_recipe(root: Aig, config: MctsConfig, policy=None,
     return RecipeResult(recipe=Recipe(prefix), final_qor=final, best_qor=best,
                         best_recipe=best_recipe, pis=pis,
                         budget_used=evaluator.calls, exhausted=exhausted,
-                        trace=evaluator.trace, cache_hits=evaluator.cache_hits,
-                        baseline=evaluator._baseline)
+                        trace=evaluator.trace, cache_hits=evaluator.cache_hits)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import weakref
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -87,6 +88,18 @@ def normalized_adjacency(aig: Aig) -> sp.csr_matrix:
     return (d @ adj @ d).tocsr()
 
 
+# Adjacency and node features per circuit; an entry dies with its circuit.
+_GRAPHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _graph(aig: Aig) -> tuple[sp.csr_matrix, np.ndarray]:
+    hit = _GRAPHS.get(aig)
+    if hit is None:
+        hit = (normalized_adjacency(aig), node_features(aig))
+        _GRAPHS[aig] = hit
+    return hit
+
+
 class PolicyNetwork:
     """pi_theta(s, a) over the seven passes, for a state (G_0, prefix)."""
 
@@ -118,9 +131,9 @@ class PolicyNetwork:
         self.params["fc2.W"] = self._he(rng, cfg.d_head, cfg.n_actions) \
             * cfg.final_layer_scale
         self.params["fc2.b"] = np.zeros(cfg.n_actions)
-        self.version = 0
-        self._graph_cache: dict[int, tuple[sp.csr_matrix, np.ndarray]] = {}
-        self._haig_cache: dict[int, tuple[int, np.ndarray]] = {}
+        # (circuit, pooled embedding) of the last priors() input; an
+        # instance slot rather than a weak mapping so the network pickles.
+        self._last_haig: tuple[Aig, np.ndarray] | None = None
 
     @staticmethod
     def _he(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -128,17 +141,9 @@ class PolicyNetwork:
 
     # -- forward -------------------------------------------------------------
 
-    def _graph(self, aig: Aig) -> tuple[sp.csr_matrix, np.ndarray]:
-        key = id(aig)
-        hit = self._graph_cache.get(key)
-        if hit is None:
-            hit = (normalized_adjacency(aig), node_features(aig))
-            self._graph_cache[key] = hit
-        return hit
-
     def _gcn_forward(self, aig: Aig, training: bool, update_stats: bool):
         cfg = self.config
-        adj, feats = self._graph(aig)
+        adj, feats = _graph(aig)
         h = feats
         cache = {"adj": adj, "layers": []}
         for k in range(cfg.gcn_layers):
@@ -191,43 +196,36 @@ class PolicyNetwork:
                 * (1.0 + self.params["pos_emb"][i])
         return h
 
-    def _forward_full(self, aig: Aig, prefix, training: bool,
-                      update_stats: bool = False):
+    def _head(self, h_aig: np.ndarray, prefix):
+        """Fused head over (AIG embedding ++ recipe embedding): two leaky
+        layers and a softmax. Returns the probabilities and the activations
+        the backward pass needs."""
         cfg = self.config
-        h_aig, gcn_cache = self._gcn_forward(aig, training, update_stats)
-        h_r = self.encode_recipe(prefix)
-        a0 = np.concatenate([h_aig, h_r])
+        a0 = np.concatenate([h_aig, self.encode_recipe(prefix)])
         z1 = a0 @ self.params["fc0.W"] + self.params["fc0.b"]
         a1 = _leaky(z1, cfg.leaky_slope)
         z2 = a1 @ self.params["fc1.W"] + self.params["fc1.b"]
         a2 = _leaky(z2, cfg.leaky_slope)
-        logits = a2 @ self.params["fc2.W"] + self.params["fc2.b"]
-        pi = _softmax(logits)
-        cache = {"gcn": gcn_cache, "prefix": tuple(int(a) for a in prefix),
-                 "a0": a0, "z1": z1, "a1": a1, "z2": z2, "a2": a2, "pi": pi}
+        pi = _softmax(a2 @ self.params["fc2.W"] + self.params["fc2.b"])
+        return pi, {"a0": a0, "z1": z1, "a1": a1, "z2": z2, "a2": a2}
+
+    def _forward_full(self, aig: Aig, prefix, training: bool,
+                      update_stats: bool = False):
+        h_aig, gcn_cache = self._gcn_forward(aig, training, update_stats)
+        pi, cache = self._head(h_aig, prefix)
+        cache["gcn"] = gcn_cache
+        cache["prefix"] = tuple(int(a) for a in prefix)
         return pi, cache
 
-    def forward(self, aig: Aig, prefix, training: bool = False) -> np.ndarray:
-        """Action probability vector; always a valid distribution."""
-        pi, _ = self._forward_full(aig, prefix, training)
-        return pi
-
     def priors(self, aig: Aig, prefix) -> np.ndarray:
-        """Inference-mode forward with the AIG branch memoized per network
-        version (the AIG input is fixed within one search)."""
-        key = id(aig)
-        hit = self._haig_cache.get(key)
-        if hit is None or hit[0] != self.version:
+        """Inference-mode action probabilities, always a valid distribution.
+        The AIG branch of the last circuit is kept until the parameters
+        change (the AIG input is fixed within one search)."""
+        if self._last_haig is None or self._last_haig[0] is not aig:
             h_aig, _ = self._gcn_forward(aig, training=False, update_stats=False)
-            self._haig_cache[key] = (self.version, h_aig)
-        else:
-            h_aig = hit[1]
-        cfg = self.config
-        h_r = self.encode_recipe(prefix)
-        a0 = np.concatenate([h_aig, h_r])
-        a1 = _leaky(a0 @ self.params["fc0.W"] + self.params["fc0.b"], cfg.leaky_slope)
-        a2 = _leaky(a1 @ self.params["fc1.W"] + self.params["fc1.b"], cfg.leaky_slope)
-        return _softmax(a2 @ self.params["fc2.W"] + self.params["fc2.b"])
+            self._last_haig = (aig, h_aig)
+        pi, _ = self._head(self._last_haig[1], prefix)
+        return pi
 
     # -- backward ------------------------------------------------------------
 
@@ -303,8 +301,8 @@ class PolicyNetwork:
         return total * scale, grads
 
     def bump_version(self) -> None:
-        self.version += 1
-        self._haig_cache.clear()
+        """Drops the kept AIG embedding; call after every parameter update."""
+        self._last_haig = None
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +403,7 @@ def train(net: PolicyNetwork, circuits: list[Aig],
     buffer = ReplayBuffer(2 * cfg.recipe_len * n_tr)
     adam = Adam(net.params, lr=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
-    evaluators = {c.name: RecipeEvaluator(c, recipe_len=cfg.recipe_len,
-                                          budget=None, circuit_id=c.name)
+    evaluators = {c.name: RecipeEvaluator(c, recipe_len=cfg.recipe_len)
                   for c in circuits}
     losses: list[float] = []
     for epoch in range(cfg.epochs):
@@ -419,8 +416,8 @@ def train(net: PolicyNetwork, circuits: list[Aig],
             def collect(prefix, pi, _node, _name=aig.name):
                 buffer.add(Experience(_name, tuple(prefix), tuple(pi), epoch))
 
-            generate_recipe(aig, search_cfg, policy=net, budget=None,
-                            evaluator=evaluators[aig.name], collect=collect)
+            generate_recipe(evaluators[aig.name], search_cfg, policy=net,
+                            collect=collect)
         batch = buffer.sample(cfg.recipe_len * n_tr, rng)
         value, grads = net.loss_and_grads(batch, aigs_by_id, training=True,
                                           update_stats=True)
@@ -482,7 +479,10 @@ def load(path) -> PolicyNetwork:
     offset += 4
     header = json.loads(body[offset:offset + header_len].decode("utf-8"))
     offset += header_len
-    net = PolicyNetwork(PolicyConfig(**header["config"]))
+    try:
+        net = PolicyNetwork(PolicyConfig(**header["config"]))
+    except (KeyError, TypeError) as exc:
+        raise ModelFormatError(f"bad model config in header: {exc}") from exc
     for name, shape in header["params"]:
         size = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(body, dtype="<f8", count=size, offset=offset)

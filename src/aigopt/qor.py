@@ -7,70 +7,27 @@ baseline recipe applied to the same circuit and are clipped to [-1, +1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .aig import Aig, stats
-from .transforms import DEFAULT_RECIPE_LEN, RESYN2, Recipe, apply_recipe
-
-REWARD_CLIP = (-1.0, 1.0)
+from .transforms import RESYN2, apply_recipe
 
 
-@dataclass(frozen=True)
-class QorValue:
-    adp_proxy: float
-
-    def __float__(self) -> float:
-        return float(self.adp_proxy)
-
-
-@dataclass(frozen=True)
-class RewardConfig:
-    baseline_recipe: Recipe = RESYN2
-    clip: tuple[float, float] = REWARD_CLIP
-
-    def __post_init__(self):
-        if len(self.baseline_recipe) != DEFAULT_RECIPE_LEN:
-            raise ValueError("baseline recipe must have the full recipe length")
-
-
-def qor(aig: Aig) -> QorValue:
+def qor(aig: Aig) -> float:
     s = stats(aig)
-    return QorValue(float(s.node_count * s.depth))
+    return float(s.node_count * s.depth)
 
 
-@dataclass
-class BaselineCache:
-    """Memoizes the baseline QoR per circuit (keyed by structure)."""
-
-    recipe: Recipe = RESYN2
-    _values: dict[str, QorValue] = field(default_factory=dict)
-
-    def get(self, aig: Aig) -> QorValue:
-        key = aig.fingerprint()
-        if key not in self._values:
-            final, _ = apply_recipe(aig, self.recipe, max_len=max(
-                DEFAULT_RECIPE_LEN, len(self.recipe)))
-            self._values[key] = qor(final)
-        return self._values[key]
-
-
-def baseline_qor(aig: Aig, cache: BaselineCache | None = None) -> QorValue:
-    if cache is not None:
-        return cache.get(aig)
+def baseline_qor(aig: Aig) -> float:
     final, _ = apply_recipe(aig, RESYN2)
     return qor(final)
 
 
-def reward(final: QorValue | float, baseline: QorValue | float) -> float:
+def reward(final: float, baseline: float) -> float:
     """Normalized, clipped improvement over the baseline.
 
     1 - adp/adp_baseline when adp < 2 x adp_baseline, -1 otherwise; a
     degenerate zero baseline yields 0 (no improvement possible).
     """
-    adp = float(final)
-    base = float(baseline)
-    if base <= 0.0:
+    if baseline <= 0.0:
         return 0.0
-    value = 1.0 - adp / base if adp < 2.0 * base else -1.0
-    lo, hi = REWARD_CLIP
-    return min(hi, max(lo, value))
+    value = 1.0 - final / baseline if final < 2.0 * baseline else -1.0
+    return min(1.0, max(-1.0, value))

@@ -25,7 +25,7 @@ from .aig import (
     AigStats,
     stats,
 )
-from .isop import Expr, factor, isop
+from .isop import Expr, factor, isop, tt_ones, var_mask
 
 N_ACTIONS = 7
 DEFAULT_RECIPE_LEN = 10
@@ -101,9 +101,6 @@ class Recipe:
 
     def __iter__(self):
         return iter(self.actions)
-
-    def extended(self, action: Action) -> "Recipe":
-        return Recipe(self.actions + (Action(action),))
 
 
 RESYN2 = Recipe.parse("b,rw,rf,b,rw,rwz,b,rfz,rwz,b")
@@ -541,8 +538,6 @@ def _cone_tt(net: _Net, root: int, leaf_index: dict[int, int], n_vars: int,
     boundary, exceeds the node budget, or touches ``forbidden`` (used to
     reject divisors whose cone contains the node being replaced, which would
     create a cycle)."""
-    from .isop import tt_ones, var_mask
-
     ones = tt_ones(n_vars)
     memo: dict[int, int] = {0: 0}
     for w, j in leaf_index.items():
@@ -690,8 +685,6 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
     filtered by simulation signatures and confirmed on window truth tables."""
     if not aig.ands:
         return aig
-    from .isop import tt_ones
-
     net = _Net(aig)
     net.init_sigs()
     min_gain = 0 if zero_cost else 1

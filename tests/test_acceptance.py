@@ -24,8 +24,8 @@ from aigopt.bench import (
 )
 from aigopt.mcts import (
     MctsConfig,
+    RecipeEvaluator,
     SearchNode,
-    SearchState,
     generate_recipe,
     search,
 )
@@ -96,7 +96,7 @@ def test_criterion_2_objective_monotonicity(transform_sweep):
 def test_criterion_3_baseline_efficacy():
     circuits = [c for c in small_circuits() if stats(c).node_count >= 50]
     assert len(circuits) >= 10
-    improved = sum(float(baseline_qor(c)) < float(qor(c)) for c in circuits)
+    improved = sum(baseline_qor(c) < qor(c) for c in circuits)
     share = improved / len(circuits)
     assert share >= 0.8, f"baseline improved only {improved}/{len(circuits)}"
     _report(3, f"baseline recipe strictly reduced adp on {improved}/"
@@ -108,9 +108,9 @@ def test_criterion_4_mcts_correctness():
     evaluator = FakeEvaluator(
         lambda p: 1.0 if p.count(Action.BALANCE) >= 2 else -0.5, recipe_len=3)
     tree = SearchNode()
-    result = search(SearchState("x", (), None),
+    result = search(evaluator, (), tree,
                     MctsConfig(iterations=250, seed=1, recipe_len=3),
-                    evaluator=evaluator, tree=tree, rng=random.Random(1))
+                    rng=random.Random(1))
     assert tree.total_visits() == result.iterations_run == 250
 
     def check(node, depth):
@@ -128,21 +128,20 @@ def test_criterion_4_mcts_correctness():
     for seed in range(100):
         bandit = FakeEvaluator(
             lambda p: 1.0 if p[0] == Action.BALANCE else 0.0, recipe_len=1)
-        res = search(SearchState("b", (), None),
+        res = search(bandit, (), SearchNode(n_actions=2),
                      MctsConfig(iterations=200, seed=seed, recipe_len=1,
                                 n_actions=2),
-                     evaluator=bandit, tree=SearchNode(n_actions=2),
                      rng=random.Random(seed))
         hits += res.action == Action.BALANCE
     assert hits >= 95, f"bandit picked the good arm in {hits}/100 seeds"
 
     # (c) L=1 recipe search matches the exhaustive 7-action sweep
     g = random_dag(80, seed=4)
-    sweep_best = min((float(qor(apply(g, Action(a)))), a) for a in range(7))
-    res = generate_recipe(g, MctsConfig(iterations=150, seed=2, recipe_len=1),
-                          budget=None)
+    sweep_best = min((qor(apply(g, Action(a))), a) for a in range(7))
+    res = generate_recipe(RecipeEvaluator(g, recipe_len=1),
+                          MctsConfig(iterations=150, seed=2, recipe_len=1))
     assert res.recipe.actions == (Action(sweep_best[1]),)
-    assert float(res.final_qor) == sweep_best[0]
+    assert res.final_qor == sweep_best[0]
     _report(4, f"conservation exact; bandit {hits}/100; L=1 matches the "
                "exhaustive sweep")
 
@@ -152,11 +151,11 @@ def test_criterion_5_alpha_zero_equivalence():
                                      gcn_layers=2, seed=0))
     for seed, circuit in ((0, ripple_adder(4)), (3, random_dag(70, seed=2))):
         cfg = MctsConfig(iterations=12, seed=seed, alpha=0.0)
-        bare = generate_recipe(circuit, cfg, budget=40)
-        guided = generate_recipe(circuit, cfg, policy=net, budget=40)
+        bare = generate_recipe(RecipeEvaluator(circuit, budget=40), cfg)
+        guided = generate_recipe(RecipeEvaluator(circuit, budget=40), cfg,
+                                 policy=net)
         assert bare.recipe == guided.recipe
-        assert [r.as_tuple() for r in bare.trace] == \
-            [r.as_tuple() for r in guided.trace]
+        assert bare.trace == guided.trace
     _report(5, "alpha=0 with a loaded policy is byte-identical to pure "
                "search under identical seeds")
 
@@ -211,7 +210,7 @@ def test_criterion_7_training_sanity():
         net = PolicyNetwork(PolicyConfig(d_hidden=16, d_emb=8, d_head=16,
                                          seed=seed))
         for circuit in (ripple_adder(4), mux_tree(3)):
-            pi = net.forward(circuit, (Action.REWRITE,))
+            pi = net.priors(circuit, (Action.REWRITE,))
             ratios.append(float(pi.max() / pi.min()))
     assert max(ratios) < 1.2
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aigopt.aig import (
+    Aig,
     AigBuilder,
     AigerError,
     SequentialCircuitError,
@@ -45,7 +48,7 @@ def test_write_parse_identity_single_and():
 def test_roundtrip_adder():
     aig = ripple_adder(8)
     back = parse_aiger(write_aiger(aig))
-    assert back.fingerprint() == aig.fingerprint()
+    assert write_aiger(back) == write_aiger(aig)
     assert bool(equivalent(aig, back))
 
 
@@ -102,6 +105,66 @@ def test_latches_rejected():
 def test_malformed_inputs_rejected(data):
     with pytest.raises(AigerError):
         parse_aiger(data)
+
+
+def _binary_aiger(aig):
+    """Binary AIGER: outputs as ASCII lines, then two LEB128 deltas per
+    gate in variable order."""
+    n_in, n_and = aig.n_inputs, len(aig.ands)
+    out = bytearray(
+        f"aig {n_in + n_and} {n_in} 0 {aig.n_outputs} {n_and}\n".encode())
+    for o in aig.outputs:
+        out += b"%d\n" % o
+    for k, (f0, f1) in enumerate(aig.ands):
+        lhs = 2 * (n_in + 1 + k)
+        hi, lo = max(f0, f1), min(f0, f1)
+        for delta in (lhs - hi, hi - lo):
+            while delta >= 0x80:
+                out.append(delta & 0x7F | 0x80)
+                delta >>= 7
+            out.append(delta)
+    return bytes(out)
+
+
+_FUZZ_SEEDS = [enc(g) for g in (ripple_adder(2), array_multiplier(2))
+               for enc in (write_aiger, _binary_aiger)]
+
+
+def _mutate(data, edits):
+    buf = bytearray(data)
+    for op, pos, byte in edits:
+        pos %= len(buf) + 1
+        if op == 0:
+            buf.insert(pos, byte)
+        elif pos < len(buf):
+            if op == 1:
+                buf[pos] = byte
+            else:
+                del buf[pos]
+    return bytes(buf)
+
+
+def test_binary_fuzz_seeds_parse_like_ascii():
+    for ascii_bytes, binary in zip(_FUZZ_SEEDS[::2], _FUZZ_SEEDS[1::2]):
+        assert write_aiger(parse_aiger(binary)) == ascii_bytes
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=80),
+    st.builds(lambda head, tail: head + tail,
+              st.sampled_from([b"aag ", b"aig "]), st.binary(max_size=80)),
+    st.builds(_mutate, st.sampled_from(_FUZZ_SEEDS),
+              st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4096),
+                                 st.integers(0, 255)),
+                       min_size=1, max_size=3)),
+))
+def test_parse_aiger_yields_aig_or_aiger_error(data):
+    try:
+        aig = parse_aiger(data)
+    except AigerError:
+        return
+    assert isinstance(aig, Aig)
 
 
 def test_parse_out_of_order_gates():

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from aigopt.aig import simulate
+from aigopt.aig import simulate, write_aiger
 from aigopt.bench import (
-    DatasetSplit,
     MethodSpec,
     array_multiplier,
     comparator,
@@ -69,9 +68,9 @@ def test_mux_tree_indexing_oracle():
 def test_random_dag_reproducible():
     a = generate_circuit("random_dag", 80, seed=11)
     b = generate_circuit("random_dag", 80, seed=11)
-    assert a.fingerprint() == b.fingerprint()
+    assert write_aiger(a) == write_aiger(b)
     c = generate_circuit("random_dag", 80, seed=12)
-    assert c.fingerprint() != a.fingerprint()
+    assert write_aiger(c) != write_aiger(a)
 
 
 @pytest.mark.parametrize("family,size", [
@@ -87,12 +86,6 @@ def test_generator_size_bounds(family, size):
 def test_unknown_family():
     with pytest.raises(ValueError, match="family"):
         generate_circuit("nand_grid", 3)
-
-
-def test_split_disjointness():
-    DatasetSplit(train=("a",), validation=("b",), test=("c",))
-    with pytest.raises(ValueError, match="disjoint"):
-        DatasetSplit(train=("a",), validation=("a",), test=())
 
 
 def test_geomean_reduction():
@@ -204,4 +197,4 @@ def test_comparator_and_adder_improvable():
     from aigopt.qor import baseline_qor, qor
 
     for g in (ripple_adder(6), comparator(6)):
-        assert float(baseline_qor(g)) < float(qor(g))
+        assert baseline_qor(g) < qor(g)

@@ -139,6 +139,65 @@ def test_full_pipeline_train_calibrate_search(tmp_path, capsys):
     assert (tmp_path / "auto_run" / "result.json").exists()
 
 
+def _tiny_model_and_bank(tmp_path, circuit_path):
+    from aigopt.aig import parse_aiger
+    from aigopt.ood import EmbeddingBank
+    from aigopt.policy import PolicyConfig, PolicyNetwork, save
+
+    net = PolicyNetwork(PolicyConfig(d_hidden=8, d_emb=4, d_head=8,
+                                     gcn_layers=2))
+    model = tmp_path / "model.bin"
+    save(net, model)
+    bank = EmbeddingBank()
+    bank.add("c", net.encode_aig(parse_aiger(circuit_path.read_bytes())))
+    bank_path = tmp_path / "bank.csv"
+    bank.save_csv(bank_path)
+    return model, bank_path
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_search_ood_config_without_delta_th_exits_two(tmp_path, capsys):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    model, bank = _tiny_model_and_bank(tmp_path, circuit)
+    ood_json = tmp_path / "ood.json"
+    ood_json.write_text('{"temperature": 0.0}\n')
+    capsys.readouterr()
+    assert run(["search", "--aig", str(circuit), "--alpha", "auto",
+                "--model", str(model), "--bank", str(bank),
+                "--ood-config", str(ood_json), "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_model_with_unknown_config_key_exits_two(tmp_path, capsys):
+    import hashlib
+    import struct
+
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    model, _ = _tiny_model_and_bank(tmp_path, circuit)
+    # Re-emit the file with one unknown key in the header config and a
+    # valid length and checksum, so only the config itself is wrong.
+    data = model.read_bytes()[:-32]
+    header_len, = struct.unpack_from("<I", data, 12)
+    header = json.loads(data[16:16 + header_len])
+    header["config"]["bogus"] = 1
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    body = (data[:12] + struct.pack("<I", len(header_bytes)) + header_bytes
+            + data[16 + header_len:])
+    model.write_bytes(body + hashlib.sha256(body).digest())
+    capsys.readouterr()
+    assert run(["search", "--aig", str(circuit), "--alpha", "1",
+                "--model", str(model), "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    _assert_one_line_error(capsys)
+
+
 def test_bench_command(tmp_path):
     paths = []
     for family, size in (("ripple_adder", 3), ("mux_tree", 2)):

@@ -9,7 +9,6 @@ from aigopt.mcts import (
     MctsConfig,
     RecipeEvaluator,
     SearchNode,
-    SearchState,
     backup,
     biased_uct,
     generate_recipe,
@@ -196,10 +195,9 @@ def test_two_armed_bandit_visit_share():
     for seed in range(100):
         evaluator = FakeEvaluator(
             lambda p: 1.0 if p[0] == Action.BALANCE else 0.0, recipe_len=1)
-        state = SearchState("bandit", (), None)
         cfg = MctsConfig(iterations=50, seed=seed, recipe_len=1, n_actions=2)
-        result = search(state, cfg, evaluator=evaluator,
-                        tree=SearchNode(n_actions=2), rng=random.Random(seed))
+        result = search(evaluator, (), SearchNode(n_actions=2), cfg,
+                        rng=random.Random(seed))
         if result.pi[0] > 0.8:
             wins += 1
     assert wins >= 95
@@ -210,10 +208,9 @@ def test_bandit_k200_picks_good_arm():
     for seed in range(100):
         evaluator = FakeEvaluator(
             lambda p: 1.0 if p[0] == Action.REWRITE else 0.0, recipe_len=1)
-        state = SearchState("bandit", (), None)
         cfg = MctsConfig(iterations=200, seed=seed, recipe_len=1, n_actions=2)
-        result = search(state, cfg, evaluator=evaluator,
-                        tree=SearchNode(n_actions=2), rng=random.Random(seed))
+        result = search(evaluator, (), SearchNode(n_actions=2), cfg,
+                        rng=random.Random(seed))
         if result.action == Action.REWRITE:
             hits += 1
     assert hits >= 95
@@ -221,10 +218,9 @@ def test_bandit_k200_picks_good_arm():
 
 def test_seven_iterations_visit_every_action():
     evaluator = FakeEvaluator(lambda p: 0.5, recipe_len=1)
-    state = SearchState("x", (), None)
     tree = SearchNode()
-    result = search(state, MctsConfig(iterations=7, recipe_len=1),
-                    evaluator=evaluator, tree=tree, rng=random.Random(0))
+    result = search(evaluator, (), tree, MctsConfig(iterations=7, recipe_len=1),
+                    rng=random.Random(0))
     assert tree.n == [1] * 7
     assert result.pi == [1.0 / 7] * 7
 
@@ -233,11 +229,9 @@ def test_visit_count_conservation_and_q_identity():
     evaluator = FakeEvaluator(
         lambda p: 1.0 if p.count(Action.BALANCE) >= 1 else -0.25,
         recipe_len=3)
-    state = SearchState("x", (), None)
     tree = SearchNode()
     cfg = MctsConfig(iterations=300, seed=4, recipe_len=3)
-    result = search(state, cfg, evaluator=evaluator, tree=tree,
-                    rng=random.Random(4))
+    result = search(evaluator, (), tree, cfg, rng=random.Random(4))
     assert result.iterations_run == 300
     assert tree.total_visits() == 300
 
@@ -300,32 +294,31 @@ def test_evaluator_trace_rows():
 
 def test_l1_search_matches_exhaustive_sweep():
     g = random_dag(70, seed=2)
-    sweep = [(float(qor(apply(g, Action(a)))), a) for a in range(7)]
-    base = float(baseline_qor(g))
+    sweep = [(qor(apply(g, Action(a))), a) for a in range(7)]
+    base = baseline_qor(g)
     best_adp, best_action = min(sweep)
     cfg = MctsConfig(iterations=150, seed=9, recipe_len=1)
-    result = generate_recipe(g, cfg, budget=None)
+    result = generate_recipe(RecipeEvaluator(g, recipe_len=1), cfg)
     assert result.recipe.actions == (Action(best_action),)
-    assert float(result.final_qor) == best_adp
+    assert result.final_qor == best_adp
     assert base > 0
 
 
 def test_generate_recipe_deterministic():
     g = ripple_adder(5)
     cfg = MctsConfig(iterations=12, seed=3)
-    first = generate_recipe(g, cfg, budget=40)
-    second = generate_recipe(g, cfg, budget=40)
+    first = generate_recipe(RecipeEvaluator(g, budget=40), cfg)
+    second = generate_recipe(RecipeEvaluator(g, budget=40), cfg)
     assert first.recipe == second.recipe
-    assert [r.as_tuple() for r in first.trace] == \
-        [r.as_tuple() for r in second.trace]
+    assert first.trace == second.trace
 
 
 def test_best_seen_never_worse_than_committed():
     for seed in range(5):
         g = random_dag(80, seed=seed)
         cfg = MctsConfig(iterations=10, seed=seed)
-        result = generate_recipe(g, cfg, budget=30)
-        assert float(result.best_qor) <= float(result.final_qor)
+        result = generate_recipe(RecipeEvaluator(g, budget=30), cfg)
+        assert result.best_qor <= result.final_qor
         assert result.budget_used <= 30
 
 
@@ -334,24 +327,24 @@ def test_alpha_zero_identical_with_and_without_policy():
 
     g = ripple_adder(4)
     cfg = MctsConfig(iterations=10, seed=7, alpha=0.0)
-    bare = generate_recipe(g, cfg, budget=25)
+    bare = generate_recipe(RecipeEvaluator(g, budget=25), cfg)
     net = PolicyNetwork(PolicyConfig(d_hidden=8, seed=0))
-    guided = generate_recipe(g, cfg, policy=net, budget=25)
+    guided = generate_recipe(RecipeEvaluator(g, budget=25), cfg, policy=net)
     assert bare.recipe == guided.recipe
-    assert [r.as_tuple() for r in bare.trace] == \
-        [r.as_tuple() for r in guided.trace]
+    assert bare.trace == guided.trace
 
 
 def test_alpha_requires_policy():
     g = ripple_adder(3)
     with pytest.raises(ValueError, match="policy"):
-        generate_recipe(g, MctsConfig(iterations=4, alpha=0.5), budget=10)
+        generate_recipe(RecipeEvaluator(g, budget=10),
+                        MctsConfig(iterations=4, alpha=0.5))
 
 
 def test_budget_exhaustion_flagged():
     g = ripple_adder(5)
     cfg = MctsConfig(iterations=64, seed=0)
-    result = generate_recipe(g, cfg, budget=8)
+    result = generate_recipe(RecipeEvaluator(g, budget=8), cfg)
     assert result.exhausted
     assert result.budget_used == 8
     assert len(result.recipe) == cfg.recipe_len

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aigopt.aig import AigBuilder, parse_aiger
-from aigopt.bench import mux_tree, ripple_adder
+from aigopt.bench import generate_circuit, mux_tree, ripple_adder
 from aigopt.policy import (
     Adam,
     Experience,
@@ -38,7 +38,7 @@ def small_graphs():
 
 
 # ---------------------------------------------------------------------------
-# forward
+# priors
 # ---------------------------------------------------------------------------
 
 def test_forward_is_distribution():
@@ -48,7 +48,7 @@ def test_forward_is_distribution():
     for _ in range(1000):
         length = rng.integers(0, 10)
         prefix = tuple(Action(int(a)) for a in rng.integers(0, 7, length))
-        pi = net.forward(g1 if rng.random() < 0.5 else g2, prefix)
+        pi = net.priors(g1 if rng.random() < 0.5 else g2, prefix)
         assert abs(pi.sum() - 1.0) < 1e-9
         assert np.all(pi > 0) and np.all(pi < 1)
 
@@ -59,16 +59,16 @@ def test_fresh_network_near_uniform():
     for seed in range(5):
         net = tiny_net(seed=seed)
         for g in (g1, g2):
-            pi = net.forward(g, (Action.BALANCE,))
+            pi = net.priors(g, (Action.BALANCE,))
             assert pi.max() / pi.min() < 1.2
 
 
 def test_softmax_shift_invariance():
     net = tiny_net()
     g1, _ = small_graphs()
-    pi_before = net.forward(g1, ())
+    pi_before = net.priors(g1, ())
     net.params["fc2.b"] = net.params["fc2.b"] + 7.5  # shift all logits
-    pi_after = net.forward(g1, ())
+    pi_after = net.priors(g1, ())
     assert np.allclose(pi_before, pi_after, atol=1e-12)
 
 
@@ -128,8 +128,29 @@ def test_priors_match_forward():
     net = tiny_net()
     g1, _ = small_graphs()
     prefix = (Action.BALANCE, Action.RESUB)
-    assert np.allclose(net.priors(g1, prefix), net.forward(g1, prefix),
-                       atol=1e-12)
+    full, _ = net._forward_full(g1, prefix, training=False)
+    assert np.array_equal(net.priors(g1, prefix), full)
+
+
+def test_priors_follow_the_circuit_when_ids_are_reused():
+    # Each circuit dies before the next is built, so a new circuit often
+    # gets a dead one's id(); a cache keyed by identity would serve it the
+    # dead circuit's prior.
+    cfg = PolicyConfig(d_hidden=8, d_emb=4, d_head=8, gcn_layers=2, seed=3)
+    net = PolicyNetwork(cfg)
+    prefix = (Action.REWRITE, Action.BALANCE)
+    families = (("ripple_adder", 4), ("comparator", 4), ("mux_tree", 3),
+                ("random_dag", 40))
+    for cycle in range(120):
+        family, top = families[cycle % len(families)]
+        circuit = generate_circuit(family, 1 + (cycle // 4) % top, seed=cycle)
+        fresh, _ = PolicyNetwork(cfg)._forward_full(circuit, prefix,
+                                                     training=False)
+        full, _ = net._forward_full(circuit, prefix, training=False)
+        pi = net.priors(circuit, prefix)
+        assert np.array_equal(pi, full), cycle
+        assert np.array_equal(pi, fresh), cycle
+        del circuit
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +306,8 @@ def test_save_load_roundtrip(tmp_path):
     save(net, path)
     loaded = load(path)
     for prefix in ((), (Action.BALANCE,), (Action.RESUB, Action.REWRITE)):
-        a = net.forward(g1, prefix)
-        b = loaded.forward(g1, prefix)
+        a = net.priors(g1, prefix)
+        b = loaded.priors(g1, prefix)
         assert np.array_equal(a, b)  # bit-identical
 
 
