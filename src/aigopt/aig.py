@@ -414,7 +414,7 @@ def write_aiger(aig: Aig) -> bytes:
 # ---------------------------------------------------------------------------
 
 def _eval_packed(aig: Aig, pi_words: list[int], width: int) -> list[int]:
-    """Bit-parallel evaluation; each node value is one ``width``-bit integer."""
+    """Bit-parallel evaluation; returns every node's ``width``-bit word."""
     mask = (1 << width) - 1
     words = [0] * aig.n_nodes
     for i, w in enumerate(pi_words):
@@ -424,6 +424,12 @@ def _eval_packed(aig: Aig, pi_words: list[int], width: int) -> list[int]:
         a = words[f0 >> 1] ^ (mask if f0 & 1 else 0)
         b = words[f1 >> 1] ^ (mask if f1 & 1 else 0)
         words[base + k] = a & b
+    return words
+
+
+def _output_words(aig: Aig, pi_words: list[int], width: int) -> list[int]:
+    mask = (1 << width) - 1
+    words = _eval_packed(aig, pi_words, width)
     return [(words[o >> 1] ^ (mask if o & 1 else 0)) & mask for o in aig.outputs]
 
 
@@ -449,7 +455,7 @@ def simulate(aig: Aig, input_vectors: np.ndarray) -> np.ndarray:
             f"expected shape (*, {aig.n_inputs}), got {vectors.shape}")
     n = vectors.shape[0]
     pi_words = [_pack_column(vectors[:, i]) for i in range(aig.n_inputs)]
-    out_words = _eval_packed(aig, pi_words, max(n, 1))
+    out_words = _output_words(aig, pi_words, max(n, 1))
     result = np.empty((n, aig.n_outputs), dtype=np.uint8)
     for j, w in enumerate(out_words):
         result[:, j] = _unpack_word(w, n)
@@ -467,8 +473,8 @@ def equivalent(a: Aig, b: Aig, budget: int = 1024, seed: int = 0) -> Equivalence
     if a.n_inputs <= EXHAUSTIVE_INPUT_LIMIT:
         words = [var_mask(v, a.n_inputs) for v in range(a.n_inputs)]
         width = 1 << a.n_inputs
-        return Equivalence(_eval_packed(a, words, width)
-                           == _eval_packed(b, words, width), "exhaustive")
+        return Equivalence(_output_words(a, words, width)
+                           == _output_words(b, words, width), "exhaustive")
     rng = np.random.default_rng(seed)
     chunk = 4096
     remaining = budget

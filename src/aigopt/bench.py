@@ -8,6 +8,7 @@ arithmetic families are verified against integer semantics in the tests.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -206,33 +207,29 @@ class EvalRow:
     synth_calls: int
     wall_s: float
 
-    FIELDS = ("method", "circuit", "seed", "alpha_used", "baseline_adp",
-              "final_adp", "best_adp", "reduction_pct", "synth_calls",
-              "wall_s")
+
+_REPORT_NOTE = ("geomean over (1 + reduction/100) factors, "
+                "converted back to percent")
 
 
 @dataclass
 class EvalReport:
     rows: list[EvalRow]
     aggregates: dict
-    header_note: str = ("geomean over (1 + reduction/100) factors, "
-                        "converted back to percent")
 
     def to_json(self) -> str:
         payload = {
-            "note": self.header_note,
+            "note": _REPORT_NOTE,
             "rows": [row.__dict__ for row in self.rows],
             "aggregates": self.aggregates,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
-        lines = [",".join(EvalRow.FIELDS)]
+        lines = [",".join(f.name for f in dataclasses.fields(EvalRow))]
         for row in self.rows:
-            lines.append(",".join(repr(getattr(row, f))
-                                  if isinstance(getattr(row, f), float)
-                                  else str(getattr(row, f))
-                                  for f in EvalRow.FIELDS))
+            lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
+                                  for v in dataclasses.astuple(row)))
         return "\n".join(lines) + "\n"
 
 
@@ -272,38 +269,19 @@ def _first_reach(trace, target_adp: float) -> int | None:
 
 
 def _run_one(circuit: Aig, circuit_id: str, method_name: str,
-             alpha_value: float, seed: int, budget: int, iterations: int,
-             recipe_len: int, c_uct: float, policy,
+             cfg: MctsConfig, budget: int, policy,
              measure_time: bool) -> tuple[EvalRow, list]:
-    cfg = MctsConfig(c_uct=c_uct, iterations=iterations, alpha=alpha_value,
-                     seed=seed, recipe_len=recipe_len)
-    evaluator = RecipeEvaluator(circuit, recipe_len=recipe_len, budget=budget,
-                                measure_time=measure_time)
+    evaluator = RecipeEvaluator(circuit, recipe_len=cfg.recipe_len,
+                                budget=budget, measure_time=measure_time)
     start = time.perf_counter() if measure_time else 0.0
-    result = generate_recipe(evaluator, cfg,
-                             policy=policy if alpha_value > 0 else None)
+    result = generate_recipe(evaluator, cfg, policy=policy)
     wall = time.perf_counter() - start if measure_time else 0.0
     base_adp = evaluator.baseline
     best = result.best_qor
     reduction = 100.0 * (1.0 - best / base_adp) if base_adp > 0 else 0.0
-    row = EvalRow(method_name, circuit_id, seed, alpha_value, base_adp,
+    row = EvalRow(method_name, circuit_id, cfg.seed, cfg.alpha, base_adp,
                   result.final_qor, best, reduction, result.budget_used, wall)
     return row, result.trace
-
-
-def _grid_worker(payload) -> tuple[int, EvalRow, list]:
-    (index, circuit_bytes, circuit_id, method_name, alpha_value, seed,
-     budget, iterations, recipe_len, c_uct, net_blob, measure_time) = payload
-    import pickle
-
-    from .aig import parse_aiger
-
-    circuit = parse_aiger(circuit_bytes, name=circuit_id)
-    policy = pickle.loads(net_blob) if net_blob is not None else None
-    row, trace = _run_one(circuit, circuit_id, method_name, alpha_value,
-                          seed, budget, iterations, recipe_len, c_uct,
-                          policy, measure_time)
-    return index, row, trace
 
 
 def evaluate(methods: list[MethodSpec], circuits: dict[str, Aig],
@@ -321,35 +299,24 @@ def evaluate(methods: list[MethodSpec], circuits: dict[str, Aig],
     processes; results are merged back in deterministic grid order.
     """
     base_cfg = mcts_cfg or MctsConfig(iterations=64)
-    grid: list[tuple[str, str, float, int]] = []
+    runs: list[tuple] = []
     for circuit_id in sorted(circuits):
         circuit = circuits[circuit_id]
         for spec in methods:
             a = resolve_alpha(spec, circuit, policy, bank, delta_th)
             for seed in seeds:
-                grid.append((circuit_id, spec.name, a, seed))
-    results: list[tuple[EvalRow, list]] = [None] * len(grid)  # type: ignore
+                runs.append((circuit, circuit_id, spec.name,
+                             dataclasses.replace(base_cfg, alpha=a, seed=seed),
+                             budget, policy, measure_time))
     if jobs > 1:
-        import pickle
+        # imported here: multiprocessing is slow to import for every run
         from concurrent.futures import ProcessPoolExecutor
 
-        from .aig import write_aiger
-
-        net_blob = pickle.dumps(policy) if policy is not None else None
-        payloads = [
-            (i, write_aiger(circuits[cid]), cid, mname, a, seed, budget,
-             base_cfg.iterations, base_cfg.recipe_len, base_cfg.c_uct,
-             net_blob if a > 0 else None, measure_time)
-            for i, (cid, mname, a, seed) in enumerate(grid)
-        ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for index, row, trace in pool.map(_grid_worker, payloads):
-                results[index] = (row, trace)
+            futures = [pool.submit(_run_one, *run) for run in runs]
+            results = [future.result() for future in futures]
     else:
-        for i, (cid, mname, a, seed) in enumerate(grid):
-            results[i] = _run_one(circuits[cid], cid, mname, a, seed, budget,
-                                  base_cfg.iterations, base_cfg.recipe_len,
-                                  base_cfg.c_uct, policy, measure_time)
+        results = [_run_one(*run) for run in runs]
     rows = [row for row, _ in results]
     traces = {(row.method, row.circuit, row.seed): trace
               for row, trace in results}

@@ -147,8 +147,7 @@ def cmd_search(args) -> int:
     evaluator = RecipeEvaluator(aig, recipe_len=args.recipe_len,
                                 budget=args.budget,
                                 measure_time=args.measure_time)
-    result = generate_recipe(evaluator, mcts_cfg,
-                             policy=net if alpha_value > 0 else None)
+    result = generate_recipe(evaluator, mcts_cfg, policy=net)
     print(f"recipe: {result.recipe}")
     print(f"final adp: {result.final_qor:g}  "
           f"best adp: {result.best_qor:g}  "
@@ -202,7 +201,7 @@ def cmd_train(args) -> int:
             writer.writerow((epoch, repr(value)))
     outputs.append(str(loss_path))
     if args.bank:
-        bank = ood_mod.EmbeddingBank(source="train")
+        bank = ood_mod.EmbeddingBank()
         for circuit in circuits:
             bank.add(circuit.name, net.encode_aig(circuit))
         bank_path = _resolve_path(args.bank)
@@ -234,7 +233,11 @@ def cmd_calibrate(args) -> int:
         for row in reader:
             if not row:
                 continue
-            path, label = row[0], int(row[1])
+            try:
+                path, label = row[0], int(row[1])
+            except (IndexError, ValueError):
+                raise ValueError(f"{args.validation}: line {reader.line_num}: "
+                                 "expected circuit_path,winner_label") from None
             circuit = _load_circuit(Path(path))
             validation.append((circuit.name, net.encode_aig(circuit), label))
     delta_th = ood_mod.calibrate([(h, lbl) for _, h, lbl in validation], bank)

@@ -33,7 +33,6 @@ class EmbeddingBank:
     """Per-circuit embeddings of the training (or validation) set."""
 
     entries: list[tuple[str, np.ndarray]] = field(default_factory=list)
-    source: str = "train"
 
     def add(self, circuit_id: str, h: np.ndarray) -> None:
         h = np.asarray(h, dtype=np.float64)
@@ -55,17 +54,27 @@ class EmbeddingBank:
                                 + [repr(float(x)) for x in h])
 
     @classmethod
-    def load_csv(cls, path, source: str = "train") -> "EmbeddingBank":
-        bank = cls(source=source)
+    def load_csv(cls, path) -> "EmbeddingBank":
+        """Reads a bank written by ``save_csv``; a malformed row raises
+        ValueError naming the file and the line."""
+        bank = cls()
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             next(reader, None)  # header
             for row in reader:
                 if not row:
                     continue
-                circuit_id, dim = row[0], int(row[1])
-                values = np.array([float(x) for x in row[2:2 + dim]])
-                bank.add(circuit_id, values)
+                where = f"{path}: line {reader.line_num}"
+                try:
+                    dim = int(row[1])
+                    values = np.array([float(x) for x in row[2:]])
+                except (IndexError, ValueError):
+                    raise ValueError(f"{where}: expected circuit_id,dim,"
+                                     "values...") from None
+                if values.size != dim:
+                    raise ValueError(f"{where}: dim is {dim} but the row holds "
+                                     f"{values.size} values")
+                bank.add(row[0], values)
         return bank
 
 

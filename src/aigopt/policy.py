@@ -433,26 +433,24 @@ def train(net: PolicyNetwork, circuits: list[Aig],
 
 _MAGIC = b"AIGPOLCY"
 _FORMAT_VERSION = 1
+_GROUPS = ("params", "buffers")  # array groups, in blob order
 
 
 def save(net: PolicyNetwork, path) -> None:
-    header = {
-        "config": asdict(net.config),
-        "params": [[name, list(net.params[name].shape)]
-                   for name in sorted(net.params)],
-        "buffers": [[name, list(net.buffers[name].shape)]
-                    for name in sorted(net.buffers)],
-    }
+    header = {"config": asdict(net.config)}
+    for key in _GROUPS:
+        group = getattr(net, key)
+        header[key] = [[name, list(group[name].shape)] for name in sorted(group)]
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     blob = bytearray()
     blob += _MAGIC
     blob += struct.pack("<I", _FORMAT_VERSION)
     blob += struct.pack("<I", len(header_bytes))
     blob += header_bytes
-    for name in sorted(net.params):
-        blob += net.params[name].astype("<f8").tobytes()
-    for name in sorted(net.buffers):
-        blob += net.buffers[name].astype("<f8").tobytes()
+    for key in _GROUPS:
+        group = getattr(net, key)
+        for name in sorted(group):
+            blob += group[name].astype("<f8").tobytes()
     blob += hashlib.sha256(bytes(blob)).digest()
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
@@ -483,16 +481,13 @@ def load(path) -> PolicyNetwork:
         net = PolicyNetwork(PolicyConfig(**header["config"]))
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"bad model config in header: {exc}") from exc
-    for name, shape in header["params"]:
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(body, dtype="<f8", count=size, offset=offset)
-        offset += size * 8
-        net.params[name] = arr.reshape(shape).copy()
-    for name, shape in header["buffers"]:
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(body, dtype="<f8", count=size, offset=offset)
-        offset += size * 8
-        net.buffers[name] = arr.reshape(shape).copy()
+    for key in _GROUPS:
+        group = getattr(net, key)
+        for name, shape in header[key]:
+            size = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(body, dtype="<f8", count=size, offset=offset)
+            offset += size * 8
+            group[name] = arr.reshape(shape).copy()
     if offset != len(body):
         raise ModelFormatError("model file has trailing data")
     return net

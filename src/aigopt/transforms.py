@@ -14,7 +14,7 @@ import enum
 import heapq
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .aig import (
     KIND_AND,
@@ -23,6 +23,7 @@ from .aig import (
     Aig,
     AigBuilder,
     AigStats,
+    _eval_packed,
     stats,
 )
 from .isop import Expr, factor, isop, tt_ones, var_mask
@@ -119,7 +120,7 @@ class _Net:
     overcount, never undercount, so gain tests stay conservative).
     """
 
-    def __init__(self, aig: Aig):
+    def __init__(self, aig: Aig, sig: list[int] | None = None):
         n = aig.n_nodes
         self.n_inputs = aig.n_inputs
         self.kind = [KIND_CONST] + [KIND_PI] * aig.n_inputs + [KIND_AND] * len(aig.ands)
@@ -127,7 +128,7 @@ class _Net:
         self.f1 = [0] * n
         self.ref = [0] * n
         self.level = list(aig.levels)
-        self.sig: list[int] | None = None
+        self.sig = sig  # per-node simulation words, extended by new nodes
         self.repl: dict[int, int] = {}
         self.strash: dict[tuple[int, int], int] = {}
         self.outputs = list(aig.outputs)
@@ -142,7 +143,6 @@ class _Net:
         for o in self.outputs:
             self.ref[o >> 1] += 1
         self.n_live = sum(1 for v in range(base, n) if self.ref[v] > 0)
-        self.first_and = base
         self.orig_nodes = n
 
     # -- resolution ---------------------------------------------------------
@@ -298,18 +298,6 @@ class _Net:
         self._undo(journal)
         return set(freed)
 
-    def init_sigs(self, seed: int = _SIM_SEED) -> None:
-        rng = random.Random(seed)
-        sig = [0] * len(self.kind)
-        for i in range(self.n_inputs):
-            sig[1 + i] = rng.getrandbits(_SIG_BITS)
-        for v in range(self.first_and, len(self.kind)):
-            a, b = self.f0[v], self.f1[v]
-            sa = sig[a >> 1] ^ (_SIG_MASK if a & 1 else 0)
-            sb = sig[b >> 1] ^ (_SIG_MASK if b & 1 else 0)
-            sig[v] = sa & sb
-        self.sig = sig
-
     # -- final rebuild --------------------------------------------------------
 
     def to_aig(self, name: str) -> Aig:
@@ -347,6 +335,22 @@ class _Net:
             emit(r >> 1)
             out_lits.append(memo[r >> 1] ^ (r & 1))
         return builder.finish(out_lits)
+
+
+def _sweep(aig: Aig, zero_cost: bool, visit, sig: list[int] | None = None) -> Aig:
+    """Calls ``visit(net, v, min_gain)`` on each live, unreplaced AND node of
+    a working copy of ``aig``, then rebuilds it; returns ``aig`` itself when
+    the rebuild holds more ANDs."""
+    if not aig.ands:
+        return aig
+    net = _Net(aig, sig)
+    min_gain = 0 if zero_cost else 1
+    for v in range(aig.first_and(), aig.n_nodes):
+        if net.ref[v] == 0 or v in net.repl:
+            continue
+        visit(net, v, min_gain)
+    result = net.to_aig(aig.name)
+    return result if len(result.ands) <= len(aig.ands) else aig
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +508,9 @@ def rewrite(aig: Aig, zero_cost: bool = False) -> Aig:
     """Cut-based resynthesis: replaces 4-feasible cut functions by their
     factored irredundant covers when that frees at least one node (at least
     zero with ``zero_cost``)."""
-    if not aig.ands:
-        return aig
-    net = _Net(aig)
     cuts = _enumerate_cuts(aig)
-    min_gain = 0 if zero_cost else 1
-    for v in range(aig.first_and(), aig.n_nodes):
-        if net.ref[v] == 0 or v in net.repl:
-            continue
+
+    def visit(net: _Net, v: int, min_gain: int) -> None:
         best_gain = None
         best_cut = None
         for leaves, tt in cuts[v][1:]:
@@ -523,8 +522,8 @@ def rewrite(aig: Aig, zero_cost: bool = False) -> Aig:
                 best_cut = (expr, lits)
         if best_cut is not None:
             net.try_replace(v, best_cut[0], best_cut[1], min_gain)
-    result = net.to_aig(aig.name)
-    return result if len(result.ands) <= len(aig.ands) else aig
+
+    return _sweep(aig, zero_cost, visit)
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +572,8 @@ def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
     """Collapses each maximum fanout-free cone (up to 10 leaves) to a truth
     table and resynthesizes it through ISOP factoring under the usual gain
     rule."""
-    if not aig.ands:
-        return aig
-    net = _Net(aig)
-    min_gain = 0 if zero_cost else 1
-    for v in range(aig.first_and(), aig.n_nodes):
-        if net.ref[v] == 0 or v in net.repl:
-            continue
+
+    def visit(net: _Net, v: int, min_gain: int) -> None:
         mffc = net.mffc(v)
         cone = set()
         leaves: list[int] = []
@@ -599,17 +593,17 @@ def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
                     leaves.append(w)
         leaves = sorted(set(leaves) - {0})
         if not 2 <= len(leaves) <= _REFACTOR_MAX_LEAVES:
-            continue
+            return
         if len(cone) < 2 and not zero_cost:
-            continue  # single-node cone cannot shrink
+            return  # single-node cone cannot shrink
         leaf_index = {w: j for j, w in enumerate(leaves)}
         tt = _cone_tt(net, v, leaf_index, len(leaves))
         if tt is None:
-            continue
+            return
         expr = _resynth(tt, len(leaves))
         net.try_replace(v, expr, [2 * w for w in leaves], min_gain)
-    result = net.to_aig(aig.name)
-    return result if len(result.ands) <= len(aig.ands) else aig
+
+    return _sweep(aig, zero_cost, visit)
 
 
 # ---------------------------------------------------------------------------
@@ -679,26 +673,51 @@ def _side_divisors(net: _Net, v: int, interior: list[int], leaves: list[int],
     return admitted
 
 
+def _resub_candidates(divisor_lits: list[int], sigs: list[int], target: int):
+    """Simulation-signature screen: yields ``(lits, compl)`` for each single
+    divisor literal, then each polarized divisor pair, whose AND (complemented
+    when ``compl``) has the ``target`` signature. ``sigs`` is per node."""
+    target_n = target ^ _SIG_MASK
+    divisors = [(r, sigs[r >> 1] ^ (_SIG_MASK if r & 1 else 0))
+                for r in divisor_lits]
+    for r, s in divisors:
+        if s == target:
+            yield [r], False
+        elif s == target_n:
+            yield [r ^ 1], False
+    for i1, (r1, s1) in enumerate(divisors):
+        s1n = s1 ^ _SIG_MASK
+        for r2, s2 in divisors[i1 + 1:]:
+            s2n = s2 ^ _SIG_MASK
+            for conj, c1, c2 in ((s1 & s2, 0, 0), (s1 & s2n, 0, 1),
+                                 (s1n & s2, 1, 0), (s1n & s2n, 1, 1)):
+                if conj == target:
+                    yield [r1 ^ c1, r2 ^ c2], False
+                elif conj == target_n:
+                    yield [r1 ^ c1, r2 ^ c2], True
+
+
+_RESUB_EXPRS = {1: ("var", 0, False),
+                2: ("and", ("var", 0, False), ("var", 1, False))}
+
+
 def resub(aig: Aig, zero_cost: bool = False) -> Aig:
     """Windowed resubstitution: re-expresses a node as a (possibly
     complemented) single divisor or AND/OR of two divisors from its window,
     filtered by simulation signatures and confirmed on window truth tables."""
-    if not aig.ands:
-        return aig
-    net = _Net(aig)
-    net.init_sigs()
-    min_gain = 0 if zero_cost else 1
+    rng = random.Random(_SIM_SEED)
+    sig = _eval_packed(aig, [rng.getrandbits(_SIG_BITS)
+                             for _ in range(aig.n_inputs)], _SIG_BITS)
     first_and = aig.first_and()
     fanout_lists: list[list[int]] = [[] for _ in range(aig.n_nodes)]
     for k, (f0, f1) in enumerate(aig.ands):
         fanout_lists[f0 >> 1].append(first_and + k)
         fanout_lists[f1 >> 1].append(first_and + k)
-    for v in range(first_and, aig.n_nodes):
-        if net.ref[v] == 0 or v in net.repl:
-            continue
+
+    def visit(net: _Net, v: int, min_gain: int) -> None:
         interior, leaves = _resub_window(net, v)
         if not leaves:
-            continue
+            return
         mffc = net.mffc(v)
         side = _side_divisors(net, v, interior, leaves, mffc, fanout_lists)
         seen_lits: set[int] = set()
@@ -713,22 +732,11 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
             divisor_lits.append(r)
         divisor_lits.sort(key=lambda lit: (-net.level[lit >> 1], lit))
         divisor_lits = divisor_lits[:_RESUB_DIVISOR_CAP]
-        if not divisor_lits:
-            continue
         n_vars = len(leaves)
         leaf_index = {w: j for j, w in enumerate(leaves)}
         ones = tt_ones(n_vars)
         tt_cache: dict[int, int | None] = {}
         tt_v: int | None = None
-        tt_v_failed = False
-
-        def target_tt() -> int | None:
-            # computed lazily: most nodes never see a signature hit
-            nonlocal tt_v, tt_v_failed
-            if tt_v is None and not tt_v_failed:
-                tt_v = _cone_tt(net, v, leaf_index, n_vars)
-                tt_v_failed = tt_v is None
-            return tt_v
 
         def tt_of(lit: int) -> int | None:
             # forbidden=v rejects divisors whose resolved cone contains v
@@ -741,81 +749,42 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
                 return None
             return (tt ^ ones) if lit & 1 else tt
 
-        target = net.sig[v]
-        target_n = target ^ _SIG_MASK
-        sigs = [net.sig[r >> 1] ^ (_SIG_MASK if r & 1 else 0)
-                for r in divisor_lits]
-        done = False
-        for r, sig_r in zip(divisor_lits, sigs):
-            cand = r if sig_r == target else (r ^ 1) if sig_r == target_n else None
-            if cand is None:
+        for lits, compl in _resub_candidates(divisor_lits, net.sig, net.sig[v]):
+            if tt_v is None:
+                # computed lazily: most nodes never see a signature hit
+                tt_v = _cone_tt(net, v, leaf_index, n_vars)
+                if tt_v is None:
+                    return
+            tts = [tt_of(lit) for lit in lits]
+            # a single divisor is ANDed with itself
+            if None in tts or (tts[0] & tts[-1]) ^ (ones if compl else 0) != tt_v:
                 continue
-            tt_t = target_tt()
-            tt_c = tt_of(cand)
-            if tt_t is None or tt_c is None or tt_c != tt_t:
-                continue
-            if net.try_replace(v, ("var", 0, bool(cand & 1)),
-                               [cand & ~1], min_gain) is not None:
-                done = True
-                break
-        if done:
-            continue
-        n_div = len(divisor_lits)
-        for i1 in range(n_div):
-            if done:
-                break
-            s1 = sigs[i1]
-            s1n = s1 ^ _SIG_MASK
-            for i2 in range(i1 + 1, n_div):
-                if done:
-                    break
-                s2 = sigs[i2]
-                s2n = s2 ^ _SIG_MASK
-                for conj, c1, c2 in ((s1 & s2, 0, 0), (s1 & s2n, 0, 1),
-                                     (s1n & s2, 1, 0), (s1n & s2n, 1, 1)):
-                    if conj == target:
-                        out = 0
-                    elif conj == target_n:
-                        out = 1
-                    else:
-                        continue
-                    r1, r2 = divisor_lits[i1], divisor_lits[i2]
-                    tt_t = target_tt()
-                    t1, t2 = tt_of(r1 ^ c1), tt_of(r2 ^ c2)
-                    if tt_t is None or t1 is None or t2 is None:
-                        continue
-                    if ((t1 & t2) ^ (ones if out else 0)) & ones != tt_t:
-                        continue
-                    expr = ("and", ("var", 0, False), ("var", 1, False))
-                    if net.try_replace(v, expr, [r1 ^ c1, r2 ^ c2],
-                                       min_gain, root_compl=bool(out)) is not None:
-                        done = True
-                        break
-    result = net.to_aig(aig.name)
-    return result if len(result.ands) <= len(aig.ands) else aig
+            if net.try_replace(v, _RESUB_EXPRS[len(lits)], lits, min_gain,
+                               root_compl=compl) is not None:
+                return
+
+    return _sweep(aig, zero_cost, visit, sig)
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
 
+_PASSES = {
+    Action.BALANCE: balance,
+    Action.REWRITE: partial(rewrite, zero_cost=False),
+    Action.REWRITE_Z: partial(rewrite, zero_cost=True),
+    Action.REFACTOR: partial(refactor, zero_cost=False),
+    Action.REFACTOR_Z: partial(refactor, zero_cost=True),
+    Action.RESUB: partial(resub, zero_cost=False),
+    Action.RESUB_Z: partial(resub, zero_cost=True),
+}
+
+
 def apply(aig: Aig, action: Action) -> Aig:
     """Applies one pass; the result is functionally equivalent to the input
     and the input is never mutated."""
-    action = Action(action)
-    if action == Action.BALANCE:
-        return balance(aig)
-    if action == Action.REWRITE:
-        return rewrite(aig, zero_cost=False)
-    if action == Action.REWRITE_Z:
-        return rewrite(aig, zero_cost=True)
-    if action == Action.REFACTOR:
-        return refactor(aig, zero_cost=False)
-    if action == Action.REFACTOR_Z:
-        return refactor(aig, zero_cost=True)
-    if action == Action.RESUB:
-        return resub(aig, zero_cost=False)
-    return resub(aig, zero_cost=True)
+    return _PASSES[Action(action)](aig)
 
 
 def apply_recipe(aig: Aig, recipe: Recipe,

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from aigopt.cli import main
 
 
@@ -158,6 +160,7 @@ def _tiny_model_and_bank(tmp_path, circuit_path):
 def _assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def test_search_ood_config_without_delta_th_exits_two(tmp_path, capsys):
@@ -196,6 +199,29 @@ def test_model_with_unknown_config_key_exits_two(tmp_path, capsys):
                 "--model", str(model), "--budget", "4", "--k", "2",
                 "--out-dir", str(tmp_path / "r")]) == 2
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("bad_file, bad_row", [
+    ("val.csv", "{circuit}"),        # validation row without its label
+    ("bank.csv", "x"),               # bank row without dim and values
+    ("bank.csv", "c,3,0.5,0.5"),     # dim disagrees with the value count
+])
+def test_calibrate_malformed_csv_row_exits_two(tmp_path, capsys, bad_file,
+                                               bad_row):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    model, bank = _tiny_model_and_bank(tmp_path, circuit)
+    validation = tmp_path / "val.csv"
+    validation.write_text(f"circuit,label\n{circuit},0\n")
+    bad = tmp_path / bad_file
+    bad.write_text(bad.read_text().splitlines()[0] + "\n"
+                   + bad_row.format(circuit=circuit) + "\n")
+    capsys.readouterr()
+    assert run(["calibrate", "--model", str(model), "--bank", str(bank),
+                "--validation", str(validation),
+                "--out", str(tmp_path / "ood.json")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert f"{bad}: line 2" in err
 
 
 def test_bench_command(tmp_path):

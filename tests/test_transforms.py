@@ -236,3 +236,38 @@ def test_baseline_recipe_reduces_adder():
     out, _ = apply_recipe(g, RESYN2)
     assert len(out.ands) < len(g.ands)
     assert bool(equivalent(g, out))
+
+
+# sha256 over the AIGER bytes of each pass and of RESYN2, taken before the
+# structural passes were moved onto one shared sweep. A refactor that
+# changes any pass's output on any of these circuits changes its digest.
+_PASS_DIGESTS = {
+    "ripple_adder_4":
+        "dbbd2cb4b6ee3ef714bb6634eed5a2710ccb0f46f7c7b7558240fc76a9951d6e",
+    "comparator_4":
+        "4d75485dccc7a68a2e7f14366a9cac838fa5db95e92d3ad48a4698278e7e8e19",
+    "mux_tree_2":
+        "6a1bf4d657605bdbe0b8ebb61f054074bac2f376d392223af8f59bcb4fe1fa74",
+    "array_multiplier_3":
+        "c9fdfcb62e1cb67fc6b9c38b4154f4ef0375bee0c188352255882621917956ac",
+    "random_dag_60_1":
+        "9c092c447c8ddd4c962acb596aabd30470bcb934f52f57257a2c53c2fe85136a",
+}
+
+
+def test_pass_outputs_match_parent_digest():
+    import hashlib
+
+    from aigopt.bench import (array_multiplier, comparator, mux_tree,
+                              random_dag, ripple_adder)
+
+    corpus = [ripple_adder(4), comparator(4), mux_tree(2),
+              array_multiplier(3), random_dag(60, seed=1)]
+    digests = {}
+    for g in corpus:
+        h = hashlib.sha256()
+        for action in Action:
+            h.update(write_aiger(apply(g, action)))
+        h.update(write_aiger(apply_recipe(g, RESYN2)[0]))
+        digests[g.name] = h.hexdigest()
+    assert digests == _PASS_DIGESTS
