@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .aig import Aig, AigBuilder
 from .mcts import MctsConfig, RecipeEvaluator, generate_recipe
 from .ood import EmbeddingBank, OodConfig, alpha as ood_alpha, min_distance
+from .transforms import _MEMO
 
 MAX_INPUTS = 24
 
@@ -271,6 +272,10 @@ def _first_reach(trace, target_adp: float) -> int | None:
 def _run_one(circuit: Aig, circuit_id: str, method_name: str,
              cfg: MctsConfig, budget: int, policy,
              measure_time: bool) -> tuple[EvalRow, list]:
+    if measure_time:
+        # A timed run starts cold, so its time does not depend on which
+        # runs came before it in this process.
+        _MEMO.clear()
     evaluator = RecipeEvaluator(circuit, recipe_len=cfg.recipe_len,
                                 budget=budget, measure_time=measure_time)
     start = time.perf_counter() if measure_time else 0.0

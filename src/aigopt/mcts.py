@@ -1,11 +1,13 @@
 """Upper-confidence tree search over recipe prefixes.
 
 The tree is keyed by recipe prefix. Terminal rewards (at full recipe
-length) come from a prefix-memoized synthesis evaluator that enforces the
-synthesis-call budget and records one trace row per full-recipe
-evaluation. An optional policy scales the exploration term by the learned
-prior raised to the blending exponent alpha; alpha = 0 degenerates exactly
-to unbiased search.
+length) come from a synthesis evaluator that enforces the synthesis-call
+budget and records one trace row per full-recipe evaluation. Pass results
+are memoized by circuit structure in ``transforms.apply``, so work shared
+between recipes (common prefixes and transpositions) is not repeated. An
+optional policy scales the exploration term by the learned prior raised to
+the blending exponent alpha; alpha = 0 degenerates exactly to unbiased
+search.
 """
 
 from __future__ import annotations
@@ -129,11 +131,12 @@ class TraceRow:
 
 
 class RecipeEvaluator:
-    """Prefix-memoized synthesis with budget enforcement.
+    """Recipe synthesis with budget enforcement.
 
     A "synthesis call" is the evaluation of one previously unseen complete
-    recipe; partial prefixes are cached so shared work is never repeated.
-    The baseline run does not count against the budget.
+    recipe; a recipe asked again returns its stored reward and counts as a
+    cache hit. Pass results are reused through ``transforms.apply``. The
+    baseline run does not count against the budget.
     """
 
     def __init__(self, root: Aig, recipe_len: int = DEFAULT_RECIPE_LEN,
@@ -147,29 +150,18 @@ class RecipeEvaluator:
         self.trace: list[TraceRow] = []
         self.best_adp: float | None = None
         self.best_prefix: tuple[Action, ...] | None = None
-        self._aigs: dict[tuple[Action, ...], Aig] = {(): root}
         self._rewards: dict[tuple[Action, ...], float] = {}
-        self._baseline: float | None = None
-
-    @property
-    def baseline(self) -> float:
-        if self._baseline is None:
-            self._baseline = baseline_qor(self.root)
-        return self._baseline
+        self.baseline = baseline_qor(root)
 
     @property
     def exhausted(self) -> bool:
         return self.budget is not None and self.calls >= self.budget
 
     def aig_for(self, prefix: tuple[Action, ...]) -> Aig:
-        cached = self._aigs.get(prefix)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        parent = self.aig_for(prefix[:-1])
-        result = apply(parent, prefix[-1])
-        self._aigs[prefix] = result
-        return result
+        aig = self.root
+        for action in prefix:
+            aig = apply(aig, action)
+        return aig
 
     def terminal_reward(self, prefix: tuple[Action, ...]) -> float:
         if len(prefix) != self.recipe_len:

@@ -26,7 +26,8 @@ LOG_FLOOR = 1e-12
 
 
 class ModelFormatError(ValueError):
-    """Model file is not readable: bad magic, version, or checksum."""
+    """Model file is not readable: bad magic, version, checksum, or a header
+    whose tensors differ from the network's."""
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,12 @@ class PolicyNetwork:
         embedding is scaled elementwise by (1 + its position embedding), so
         reorderings change the result (a plain action+position sum would
         not: the position terms cancel). Empty prefix gives the zero
-        vector; the output length is fixed regardless of prefix length."""
+        vector; the output length is fixed regardless of prefix length.
+        A prefix longer than the model's recipe length is a ValueError."""
+        if len(prefix) > self.config.recipe_len:
+            raise ValueError(
+                f"recipe prefix of {len(prefix)} passes is longer than the "
+                f"model's recipe length {self.config.recipe_len}")
         h = np.zeros(self.config.d_emb)
         for i, action in enumerate(prefix):
             h = h + self.params["act_emb"][int(action)] \
@@ -403,8 +409,6 @@ def train(net: PolicyNetwork, circuits: list[Aig],
     buffer = ReplayBuffer(2 * cfg.recipe_len * n_tr)
     adam = Adam(net.params, lr=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
-    evaluators = {c.name: RecipeEvaluator(c, recipe_len=cfg.recipe_len)
-                  for c in circuits}
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         for ci, aig in enumerate(circuits):
@@ -416,8 +420,8 @@ def train(net: PolicyNetwork, circuits: list[Aig],
             def collect(prefix, pi, _node, _name=aig.name):
                 buffer.add(Experience(_name, tuple(prefix), tuple(pi), epoch))
 
-            generate_recipe(evaluators[aig.name], search_cfg, policy=net,
-                            collect=collect)
+            generate_recipe(RecipeEvaluator(aig, recipe_len=cfg.recipe_len),
+                            search_cfg, policy=net, collect=collect)
         batch = buffer.sample(cfg.recipe_len * n_tr, rng)
         value, grads = net.loss_and_grads(batch, aigs_by_id, training=True,
                                           update_stats=True)
@@ -436,11 +440,16 @@ _FORMAT_VERSION = 1
 _GROUPS = ("params", "buffers")  # array groups, in blob order
 
 
+def _listing(net: PolicyNetwork, key: str) -> list:
+    """The header entry of one array group: [name, shape] in blob order."""
+    group = getattr(net, key)
+    return [[name, list(group[name].shape)] for name in sorted(group)]
+
+
 def save(net: PolicyNetwork, path) -> None:
     header = {"config": asdict(net.config)}
     for key in _GROUPS:
-        group = getattr(net, key)
-        header[key] = [[name, list(group[name].shape)] for name in sorted(group)]
+        header[key] = _listing(net, key)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     blob = bytearray()
     blob += _MAGIC
@@ -482,8 +491,15 @@ def load(path) -> PolicyNetwork:
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"bad model config in header: {exc}") from exc
     for key in _GROUPS:
+        if key not in header:
+            raise ModelFormatError(f"model header lacks {key!r}")
+        listing = _listing(net, key)
+        if header[key] != listing:
+            raise ModelFormatError(
+                f"model header {key!r} lists tensors or shapes that differ "
+                "from the network's")
         group = getattr(net, key)
-        for name, shape in header[key]:
+        for name, shape in listing:
             size = int(np.prod(shape)) if shape else 1
             arr = np.frombuffer(body, dtype="<f8", count=size, offset=offset)
             offset += size * 8

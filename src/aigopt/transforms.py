@@ -5,7 +5,10 @@ resub) runs on a mutable working copy with fanout reference counts; a
 replacement is committed only when the exact live-node delta meets the gain
 rule, so node count never increases. Balance rebuilds maximal AND trees and
 never increases depth. Every pass falls back to returning its input
-unchanged if the objective guard would be violated.
+unchanged if the objective guard would be violated. ``apply`` is the one
+place that reuses pass results: it memoizes them by circuit structure in a
+least-recently-used memo bounded by the ANDs it holds, which always keeps
+its hundred newest entries.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import enum
 import heapq
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -781,10 +785,64 @@ _PASSES = {
 }
 
 
+# The memo evicts its oldest entries while it holds more than
+# _MEMO_MAX_ANDS ANDs in keys plus values (one more per entry, so that
+# empty graphs count too; about 117 bytes per AND, so about 11 MB), but
+# never below its _MEMO_MIN_ENTRIES newest entries, whatever their size.
+# The floor keeps ten recipes' worth of passes on circuits of thousands of
+# ANDs, where the AND bound alone holds less than one recipe. A search
+# walks each recipe from the root, and a tree prefix recurs only after the
+# walks through its siblings; with fewer entries it was evicted by then.
+_MEMO_MAX_ANDS = 100_000
+_MEMO_MIN_ENTRIES = 10 * DEFAULT_RECIPE_LEN
+
+
+def _memo_key(aig: Aig, action: Action) -> tuple:
+    """The memo key of one pass application: passes are pure functions of
+    the structure; the name is in the key because the result carries it."""
+    return (aig.name, aig.n_inputs, tuple(aig.ands), tuple(aig.outputs),
+            action)
+
+
+class _PassMemo:
+    """Least-recently-used map from ``_memo_key`` to the pass result and
+    its size, bounded as described above."""
+
+    def __init__(self, max_ands: int, min_entries: int):
+        self.max_ands = max_ands
+        self.min_entries = min_entries
+        self.ands = 0
+        self._entries: OrderedDict[tuple, tuple[Aig, int]] = OrderedDict()
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.ands = 0
+
+    def apply(self, aig: Aig, action: Action) -> Aig:
+        key = _memo_key(aig, action)
+        hit = self._entries.get(key)
+        if hit is not None:
+            self._entries.move_to_end(key)
+            return hit[0]
+        result = _PASSES[action](aig)
+        size = 1 + len(aig.ands) + len(result.ands)
+        self._entries[key] = (result, size)
+        self.ands += size
+        while self.ands > self.max_ands \
+                and len(self._entries) > self.min_entries:
+            _, (_, old_size) = self._entries.popitem(last=False)
+            self.ands -= old_size
+        return result
+
+
+_MEMO = _PassMemo(_MEMO_MAX_ANDS, _MEMO_MIN_ENTRIES)
+
+
 def apply(aig: Aig, action: Action) -> Aig:
     """Applies one pass; the result is functionally equivalent to the input
-    and the input is never mutated."""
-    return _PASSES[Action(action)](aig)
+    and the input is never mutated. Results are memoized by structure, so a
+    repeated (circuit, action) pair returns the stored graph."""
+    return _MEMO.apply(aig, Action(action))
 
 
 def apply_recipe(aig: Aig, recipe: Recipe,

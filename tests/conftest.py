@@ -58,3 +58,31 @@ def corpus() -> list[Aig]:
 def corpus_small(corpus) -> list[Aig]:
     """A fast subset for per-test property sweeps."""
     return [c for c in corpus if len(c.ands) <= 80][:18]
+
+
+@pytest.fixture
+def fresh_memo():
+    """The process-wide pass memo, emptied so every pass runs its code."""
+    from aigopt import transforms
+
+    transforms._MEMO.clear()
+    return transforms._MEMO
+
+
+@pytest.fixture
+def pass_runs(monkeypatch, fresh_memo):
+    """Records the memo key of every pass that actually runs, i.e. every
+    memo miss, from an empty memo."""
+    from aigopt import transforms
+
+    runs = []
+
+    def counted(action, run_pass):
+        def run(aig):
+            runs.append(transforms._memo_key(aig, action))
+            return run_pass(aig)
+        return run
+
+    monkeypatch.setattr(transforms, "_PASSES", {
+        a: counted(a, f) for a, f in transforms._PASSES.items()})
+    return runs

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aigopt import transforms
 from aigopt.aig import simulate, write_aiger
 from aigopt.bench import (
     MethodSpec,
@@ -190,6 +191,45 @@ def test_parallel_jobs_match_serial():
                         mcts_cfg=MctsConfig(iterations=6), jobs=2)
     assert serial.to_csv() == parallel.to_csv()
     assert serial.aggregates == parallel.aggregates
+
+
+def test_grid_runs_each_pass_once(pass_runs):
+    # Every (circuit structure, pass) pair runs once across the grid, so
+    # resyn2 runs once per circuit, not once per (method, seed).
+    from aigopt.transforms import RESYN2
+
+    circuits = {"add3": ripple_adder(3), "mux2": mux_tree(2)}
+    net = PolicyNetwork(PolicyConfig(d_hidden=8, d_emb=4, d_head=8,
+                                     gcn_layers=2, seed=0))
+    bank = EmbeddingBank()
+    bank.add("add3", net.encode_aig(circuits["add3"]))
+    methods = [MethodSpec.pure_mcts(), MethodSpec.agent_guided(),
+               MethodSpec.agent_with_ood()]
+    evaluate(methods, circuits, policy=net, bank=bank, delta_th=1.0,
+             budget=6, seeds=(0, 1), mcts_cfg=MctsConfig(iterations=4))
+    assert len(set(pass_runs)) == len(pass_runs)
+    for g in circuits.values():
+        for action in RESYN2:
+            assert transforms._memo_key(g, action) in pass_runs
+            g = transforms.apply(g, action)
+
+
+def test_timed_runs_start_cold(pass_runs):
+    # With measure_time every run starts from an empty pass memo, so a run
+    # runs the same passes whatever ran before it; untimed, a repeated
+    # grid is all memo hits.
+    circuits = {"add3": ripple_adder(3), "mux2": mux_tree(2)}
+    methods = [MethodSpec.pure_mcts()]
+    cfg = MctsConfig(iterations=4)
+    for measure_time, repeat_runs in ((True, None), (False, 0)):
+        counts = []
+        for _ in range(2):
+            del pass_runs[:]
+            evaluate(methods, circuits, budget=6, seeds=(0, 1),
+                     mcts_cfg=cfg, measure_time=measure_time)
+            counts.append(len(pass_runs))
+        assert counts[0] > 0
+        assert counts[1] == (counts[0] if repeat_runs is None else repeat_runs)
 
 
 def test_comparator_and_adder_improvable():

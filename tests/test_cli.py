@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from aigopt.cli import main
@@ -177,28 +178,80 @@ def test_search_ood_config_without_delta_th_exits_two(tmp_path, capsys):
     _assert_one_line_error(capsys)
 
 
-def test_model_with_unknown_config_key_exits_two(tmp_path, capsys):
+def _edit_model_header(model, edit):
+    """Re-emits the model file with ``edit`` applied to its JSON header and
+    a valid length and checksum, so only the header itself is wrong."""
     import hashlib
     import struct
 
-    circuit = tmp_path / "a.aag"
-    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
-    model, _ = _tiny_model_and_bank(tmp_path, circuit)
-    # Re-emit the file with one unknown key in the header config and a
-    # valid length and checksum, so only the config itself is wrong.
     data = model.read_bytes()[:-32]
     header_len, = struct.unpack_from("<I", data, 12)
     header = json.loads(data[16:16 + header_len])
-    header["config"]["bogus"] = 1
+    edit(header)
     header_bytes = json.dumps(header, sort_keys=True).encode()
     body = (data[:12] + struct.pack("<I", len(header_bytes)) + header_bytes
             + data[16 + header_len:])
     model.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def test_model_with_unknown_config_key_exits_two(tmp_path, capsys):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    model, _ = _tiny_model_and_bank(tmp_path, circuit)
+    _edit_model_header(model, lambda h: h["config"].update(bogus=1))
     capsys.readouterr()
     assert run(["search", "--aig", str(circuit), "--alpha", "1",
                 "--model", str(model), "--budget", "4", "--k", "2",
                 "--out-dir", str(tmp_path / "r")]) == 2
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("header_edit, net_edit", [
+    (lambda h: h.pop("params"), None),
+    (lambda h: h.pop("buffers"), None),
+    (None, lambda net: net.params.pop("fc2.b")),
+    (None, lambda net: net.params.update(bogus=np.zeros(2))),
+    # a (1,) bias would broadcast silently against the (7,) logits
+    (None, lambda net: net.params.update({"fc2.b": np.zeros(1)})),
+], ids=["no_params", "no_buffers", "missing_tensor", "extra_tensor",
+        "wrong_shape"])
+def test_model_tensors_differing_from_network_exit_two(tmp_path, capsys,
+                                                       header_edit, net_edit):
+    from aigopt.policy import PolicyConfig, PolicyNetwork, save
+
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    net = PolicyNetwork(PolicyConfig(d_hidden=8, d_emb=4, d_head=8,
+                                     gcn_layers=2))
+    if net_edit is not None:
+        net_edit(net)
+    model = tmp_path / "model.bin"
+    save(net, model)
+    if header_edit is not None:
+        _edit_model_header(model, header_edit)
+    capsys.readouterr()
+    assert run(["search", "--aig", str(circuit), "--alpha", "1",
+                "--model", str(model), "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "model header" in err
+
+
+@pytest.mark.parametrize("command", ["search", "bench"])
+def test_recipe_longer_than_model_exits_two(tmp_path, capsys, command):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    model, _ = _tiny_model_and_bank(tmp_path, circuit)  # recipe length 10
+    if command == "search":
+        args = ["search", "--aig", str(circuit), "--alpha", "1"]
+    else:
+        args = ["bench", "--test", str(circuit), "--methods", "agent_guided"]
+    capsys.readouterr()
+    assert run([*args, "--model", str(model), "--recipe-len", "12",
+                "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "recipe length 10" in err
 
 
 @pytest.mark.parametrize("bad_file, bad_row", [

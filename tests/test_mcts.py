@@ -322,6 +322,19 @@ def test_best_seen_never_worse_than_committed():
         assert result.budget_used <= 30
 
 
+def test_search_runs_no_pass_twice(pass_runs):
+    # Prefixes shared between recipes, and transpositions, run their pass
+    # once: the passes run are at most the distinct non-empty prefixes.
+    evaluator = RecipeEvaluator(ripple_adder(4), budget=20)
+    del pass_runs[:]  # the baseline's resyn2
+    result = generate_recipe(evaluator, MctsConfig(iterations=12, seed=5))
+    recipes = [tuple(Action.from_code(c) for c in row.prefix.split(","))
+               for row in result.trace] + [result.recipe.actions]
+    prefixes = {r[:i] for r in recipes for i in range(1, len(r) + 1)}
+    assert result.budget_used == 20
+    assert 0 < len(pass_runs) <= len(prefixes)
+
+
 def test_alpha_zero_identical_with_and_without_policy():
     from aigopt.policy import PolicyConfig, PolicyNetwork
 

@@ -1,6 +1,7 @@
 import pytest
 
-from aigopt.aig import AigBuilder, equivalent, parse_aiger, stats, write_aiger
+from aigopt import transforms
+from aigopt.aig import Aig, AigBuilder, equivalent, parse_aiger, stats, write_aiger
 from aigopt.transforms import (
     RESYN2,
     Action,
@@ -207,10 +208,11 @@ def test_apply_preserves_interface(corpus_small):
             assert h.n_outputs == g.n_outputs, (g.name, action)
 
 
-def test_apply_deterministic(corpus_small):
+def test_apply_deterministic(corpus_small, fresh_memo):
     for g in corpus_small[:6]:
         for action in Action:
             first = apply(g, action)
+            fresh_memo.clear()  # the second call runs the pass again
             second = apply(g, action)
             assert write_aiger(first) == write_aiger(second), (g.name, action)
 
@@ -255,7 +257,7 @@ _PASS_DIGESTS = {
 }
 
 
-def test_pass_outputs_match_parent_digest():
+def test_pass_outputs_match_parent_digest(fresh_memo):
     import hashlib
 
     from aigopt.bench import (array_multiplier, comparator, mux_tree,
@@ -271,3 +273,51 @@ def test_pass_outputs_match_parent_digest():
         h.update(write_aiger(apply_recipe(g, RESYN2)[0]))
         digests[g.name] = h.hexdigest()
     assert digests == _PASS_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# Pass memo
+# ---------------------------------------------------------------------------
+
+def test_memo_shares_equal_circuits(fresh_memo, pass_runs):
+    from aigopt.bench import ripple_adder
+
+    first = apply(ripple_adder(4), Action.REWRITE)
+    second = apply(ripple_adder(4), Action.REWRITE)  # built separately
+    assert second is first
+    assert len(pass_runs) == 1 and len(fresh_memo._entries) == 1
+
+
+def test_memo_keys_on_name(fresh_memo, pass_runs):
+    from aigopt.bench import ripple_adder
+
+    g = ripple_adder(4)
+    renamed = Aig(g.n_inputs, g.ands, g.outputs, name="other")
+    assert apply(g, Action.REWRITE).name == g.name
+    assert apply(renamed, Action.REWRITE).name == "other"
+    assert len(pass_runs) == 2 and len(fresh_memo._entries) == 2
+
+
+def test_memo_stays_within_its_bounds(monkeypatch):
+    # The AND total stays within the cap, except that the newest
+    # min_entries entries are kept whatever their size.
+    from aigopt.bench import array_multiplier, random_dag, ripple_adder
+
+    memo = transforms._PassMemo(max_ands=200, min_entries=3)
+    monkeypatch.setattr(transforms, "_MEMO", memo)
+    circuits = [ripple_adder(3), random_dag(40, seed=0), ripple_adder(4),
+                array_multiplier(5)]  # one pass on the last exceeds the cap
+    assert len(circuits[-1].ands) > memo.max_ands
+    stored = 0
+    for g in circuits:
+        for action in Action:
+            apply(g, action)
+            newest = list(memo._entries.values())[-memo.min_entries:]
+            assert memo.ands <= max(memo.max_ands,
+                                    sum(size for _, size in newest))
+            stored = max(stored, len(memo._entries))
+    assert memo.ands == sum(size for _, size in memo._entries.values())
+    # entries were evicted down to the floor, and the newest were kept
+    assert stored > len(memo._entries) == memo.min_entries
+    assert list(memo._entries) == [transforms._memo_key(circuits[-1], a)
+                                   for a in list(Action)[-3:]]
