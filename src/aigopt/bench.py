@@ -303,6 +303,8 @@ def evaluate(methods: list[MethodSpec], circuits: dict[str, Aig],
     ``jobs`` > 1 fans the (circuit, method, seed) grid out to worker
     processes; results are merged back in deterministic grid order.
     """
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     base_cfg = mcts_cfg or MctsConfig(iterations=64)
     runs: list[tuple] = []
     for circuit_id in sorted(circuits):

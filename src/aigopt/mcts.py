@@ -40,6 +40,8 @@ class MctsConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.recipe_len < 1:
+            raise ValueError("recipe_len must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if not 1 <= self.n_actions <= N_ACTIONS:
@@ -136,11 +138,14 @@ class RecipeEvaluator:
     A "synthesis call" is the evaluation of one previously unseen complete
     recipe; a recipe asked again returns its stored reward and counts as a
     cache hit. Pass results are reused through ``transforms.apply``. The
-    baseline run does not count against the budget.
+    baseline run does not count against the budget. A budget of None is
+    unbounded; otherwise it must allow at least one call.
     """
 
     def __init__(self, root: Aig, recipe_len: int = DEFAULT_RECIPE_LEN,
                  budget: int | None = None, measure_time: bool = False):
+        if budget is not None and budget < 1:
+            raise ValueError("budget must be >= 1")
         self.root = root
         self.recipe_len = recipe_len
         self.budget = budget

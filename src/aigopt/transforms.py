@@ -451,20 +451,47 @@ def balance(aig: Aig) -> Aig:
 # Cut enumeration with truth tables (priority cuts, 4 leaves, 8 per node)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1 << 17)
-def _tt_expand(tt: int, frm: tuple[int, ...], to: tuple[int, ...]) -> int:
-    if frm == to:
-        return tt
-    pos = [to.index(v) for v in frm]
-    out = 0
-    for m in range(1 << len(to)):
-        idx = 0
-        for j, p in enumerate(pos):
-            if m >> p & 1:
-                idx |= 1 << j
-        if tt >> idx & 1:
-            out |= 1 << m
-    return out
+class _ExpandTables(dict):
+    """Byte lookup tables that re-express a cut's truth table over a larger
+    sorted leaf tuple that holds all of the cut's leaves.
+
+    The key has one flag per leaf of the larger tuple, true where the cut has
+    that leaf too: ``(True, False, True)`` moves a 2-leaf table onto
+    positions 0 and 2 of a 3-leaf one. Cuts have at most ``_CUT_SIZE`` leaves,
+    so there are 31 keys. Each key's pair of tables is built on first use.
+    """
+
+    def __missing__(self, flags: tuple[bool, ...]) -> tuple[list[int], list[int]]:
+        n = len(flags)
+        pos = [i for i, flag in enumerate(flags) if flag]
+        # images[idx]: the minterms of the larger table that agree with
+        # minterm ``idx`` of the cut's table on the cut's leaves.
+        images = []
+        for idx in range(1 << len(pos)):
+            image = tt_ones(n)
+            for j, p in enumerate(pos):
+                image &= var_mask(p, n) if idx >> j & 1 else ~var_mask(p, n)
+            images.append(image)
+        tables = []
+        for byte_images in (images[:8], images[8:]):
+            table = [0]
+            for image in byte_images:  # entries with this bit set: OR in its image
+                table += [entry | image for entry in table]
+            tables.append(table)
+        self[flags] = lo_hi = tuple(tables)
+        return lo_hi
+
+
+_EXPAND = _ExpandTables()
+
+
+def _tt_expand(tt: int, frm: tuple[int, ...] | frozenset[int],
+               to: tuple[int, ...]) -> int:
+    """Truth table ``tt`` over the sorted leaves ``frm`` (a tuple or a set),
+    re-expressed over the sorted leaves ``to``, which hold all of ``frm``:
+    two lookups in the byte tables of ``_EXPAND``."""
+    lo, hi = _EXPAND[tuple(map(frm.__contains__, to))]
+    return lo[tt & 0xFF] | hi[tt >> 8]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -474,33 +501,48 @@ def _resynth(tt: int, n_vars: int) -> Expr:
     return factor(isop(tt, 0, n_vars))
 
 
-def _enumerate_cuts(aig: Aig, cut_size: int = _CUT_SIZE,
-                    per_node: int = _CUTS_PER_NODE):
+def _enumerate_cuts(aig: Aig):
     """Returns, per node, a list of (leaf-var tuple, truth table) cuts.
 
     The unit cut comes first; the remaining slots hold the smallest merged
-    cuts in deterministic order.
+    cuts by (leaf count, leaf tuple): at most ``_CUTS_PER_NODE`` cuts of at
+    most ``_CUT_SIZE`` leaves each. When two pairs of fanin cuts give the same
+    leaves, the first pair's truth table is kept.
+
+    Each kept cut is also filed under both literals of its node as (leaf set,
+    truth table of the literal), so a complemented fanin costs nothing per
+    pair. A pair that merges to too many leaves, or to leaves
+    already seen, costs one set union; only the others are sorted and
+    expanded.
     """
     cuts: list[list[tuple[tuple[int, ...], int]]] = [[((), 0)]]
+    by_lit = [[(frozenset(), 0)], [(frozenset(), 1)]]
     for v in range(1, 1 + aig.n_inputs):
         cuts.append([((v,), 0b10)])
+        unit = frozenset((v,))
+        by_lit += [[(unit, 0b10)], [(unit, 0b01)]]
     first_and = aig.first_and()
     for k, (l0, l1) in enumerate(aig.ands):
         v = first_and + k
-        cand: dict[tuple[int, ...], int] = {}
-        for lv0, t0 in cuts[l0 >> 1]:
-            if l0 & 1:
-                t0 ^= (1 << (1 << len(lv0))) - 1
-            for lv1, t1 in cuts[l1 >> 1]:
-                if l1 & 1:
-                    t1 ^= (1 << (1 << len(lv1))) - 1
-                merged = tuple(sorted(set(lv0) | set(lv1)))
-                if len(merged) > cut_size or merged in cand:
+        cand = {}
+        for s0, t0 in by_lit[l0]:
+            for s1, t1 in by_lit[l1]:
+                leaf_set = s0 | s1
+                if len(leaf_set) > _CUT_SIZE or leaf_set in cand:
                     continue
-                cand[merged] = (_tt_expand(t0, lv0, merged)
-                                & _tt_expand(t1, lv1, merged))
-        ordered = sorted(cand.items(), key=lambda item: (len(item[0]), item[0]))
-        cuts.append([((v,), 0b10)] + ordered[:per_node - 1])
+                merged = tuple(sorted(leaf_set))
+                tt = _tt_expand(t0, s0, merged) & _tt_expand(t1, s1, merged)
+                cand[leaf_set] = (len(merged), merged, tt, leaf_set)
+        # (size, leaves) is unique per cut, so the sort never compares further.
+        kept = sorted(cand.values())[:_CUTS_PER_NODE - 1]
+        cuts.append([((v,), 0b10)] + [(leaves, tt) for _, leaves, tt, _ in kept])
+        unit = frozenset((v,))
+        pos = [(unit, 0b10)]
+        neg = [(unit, 0b01)]
+        for n, _, tt, leaf_set in kept:
+            pos.append((leaf_set, tt))
+            neg.append((leaf_set, tt ^ tt_ones(n)))
+        by_lit += [pos, neg]
     return cuts
 
 

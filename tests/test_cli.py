@@ -254,6 +254,35 @@ def test_recipe_longer_than_model_exits_two(tmp_path, capsys, command):
     assert "recipe length 10" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--budget", "0"), ("--budget", "-1"),
+                                         ("--recipe-len", "0")])
+@pytest.mark.parametrize("command", ["search", "bench"])
+def test_budget_or_recipe_len_below_one_exits_two(tmp_path, capsys, command,
+                                                  flag, value):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    if command == "search":
+        args = ["search", "--aig", str(circuit), "--alpha", "0"]
+    else:
+        args = ["bench", "--test", str(circuit), "--methods", "pure_mcts"]
+    argv = [*args, "--budget", "4", "--k", "2", "--out-dir", str(tmp_path / "r")]
+    capsys.readouterr()
+    assert run([*argv, flag, value]) == 2
+    err = _assert_one_line_error(capsys)
+    assert flag[2:].replace("-", "_") in err
+
+
+def test_bench_without_seeds_exits_two(tmp_path, capsys):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    capsys.readouterr()
+    assert run(["bench", "--test", str(circuit), "--methods", "pure_mcts",
+                "--seeds", "0", "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "seeds" in err
+
+
 @pytest.mark.parametrize("bad_file, bad_row", [
     ("val.csv", "{circuit}"),        # validation row without its label
     ("bank.csv", "x"),               # bank row without dim and values

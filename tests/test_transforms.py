@@ -129,6 +129,74 @@ def test_rewrite_zero_cost_never_increases(corpus_small):
         assert bool(equivalent(g, h)), g.name
 
 
+def _tt_expand_bit_loop(tt, frm, to):
+    """Reference: the per-minterm bit loop that the byte tables replaced."""
+    if frm == to:
+        return tt
+    pos = [to.index(v) for v in frm]
+    out = 0
+    for m in range(1 << len(to)):
+        idx = 0
+        for j, p in enumerate(pos):
+            if m >> p & 1:
+                idx |= 1 << j
+        if tt >> idx & 1:
+            out |= 1 << m
+    return out
+
+
+def test_tt_expand_matches_bit_loop():
+    from itertools import combinations
+
+    leaves = (3, 5, 8, 13)
+    for width in range(transforms._CUT_SIZE + 1):
+        to = leaves[:width]
+        for size in range(width + 1):
+            for frm in combinations(to, size):
+                for tt in range(1 << (1 << size)):  # every table over frm
+                    expected = _tt_expand_bit_loop(tt, frm, to)
+                    assert transforms._tt_expand(tt, frm, to) == expected
+                    assert transforms._tt_expand(tt, frozenset(frm), to) == expected
+    assert len(transforms._EXPAND) == 31  # one entry per leaf-position pattern
+
+
+# sha256 of repr(_enumerate_cuts(g)), taken before cut truth tables moved to
+# byte lookup tables. On the last two circuits the per-node cut limit drops
+# cuts at 235 of 324 and 106 of 218 ANDs, so the order and the truncation
+# of the kept cuts are pinned, not only their truth tables.
+_CUT_DIGESTS = {
+    "ripple_adder_4":
+        "6884cc13f29b0f238d93495a528971684015067285cfa12a6747b38182e6f039",
+    "comparator_4":
+        "69518cba7b064ee3a9a5fbb9f0c99567f166119173d36503cb0f434ff1d5fbec",
+    "mux_tree_2":
+        "3d342d121b362b08301e8817c4ed6b0861958a46ca44bc3d396d6d4a9a23ed3c",
+    "array_multiplier_3":
+        "24e947a1c61d42fb913f476628390b44ace45abc931ace6b49eb1181c2ade272",
+    "random_dag_60_1":
+        "922d64902e5433d537154e3f980f315850341d832db3da62e5125ba8ee042048",
+    "array_multiplier_6":
+        "f882691c6d3b4fcca7a3e09ce02badc5e6dad71e1bc40b94d7b6f9aedf871a51",
+    "random_dag_400_0":
+        "12c1c68320bb77f901aef218c20f6fda3cfd176dd8639e1b5a6dddd88cb5cb82",
+}
+
+
+def test_cut_enumeration_matches_parent_digest():
+    import hashlib
+
+    from aigopt.bench import (array_multiplier, comparator, mux_tree,
+                              random_dag, ripple_adder)
+
+    corpus = [ripple_adder(4), comparator(4), mux_tree(2),
+              array_multiplier(3), random_dag(60, seed=1),
+              array_multiplier(6), random_dag(400, seed=0)]
+    digests = {g.name: hashlib.sha256(
+        repr(transforms._enumerate_cuts(g)).encode()).hexdigest()
+        for g in corpus}
+    assert digests == _CUT_DIGESTS
+
+
 # ---------------------------------------------------------------------------
 # Refactor
 # ---------------------------------------------------------------------------
