@@ -511,9 +511,8 @@ def _enumerate_cuts(aig: Aig):
 
     Each kept cut is also filed under both literals of its node as (leaf set,
     truth table of the literal), so a complemented fanin costs nothing per
-    pair. A pair that merges to too many leaves, or to leaves
-    already seen, costs one set union; only the others are sorted and
-    expanded.
+    pair. A pair that merges to too many leaves, or to leaves already seen,
+    costs one set union; only the others are sorted and expanded.
     """
     cuts: list[list[tuple[tuple[int, ...], int]]] = [[((), 0)]]
     by_lit = [[(frozenset(), 0)], [(frozenset(), 1)]]
