@@ -413,8 +413,8 @@ def write_aiger(aig: Aig) -> bytes:
 # Simulation and equivalence
 # ---------------------------------------------------------------------------
 
-def _eval_packed(aig: Aig, pi_words: list[int], width: int) -> list[int]:
-    """Bit-parallel evaluation; returns every node's ``width``-bit word."""
+def _output_words(aig: Aig, pi_words: list[int], width: int) -> list[int]:
+    """Bit-parallel evaluation; returns every output's ``width``-bit word."""
     mask = (1 << width) - 1
     words = [0] * aig.n_nodes
     for i, w in enumerate(pi_words):
@@ -424,12 +424,6 @@ def _eval_packed(aig: Aig, pi_words: list[int], width: int) -> list[int]:
         a = words[f0 >> 1] ^ (mask if f0 & 1 else 0)
         b = words[f1 >> 1] ^ (mask if f1 & 1 else 0)
         words[base + k] = a & b
-    return words
-
-
-def _output_words(aig: Aig, pi_words: list[int], width: int) -> list[int]:
-    mask = (1 << width) - 1
-    words = _eval_packed(aig, pi_words, width)
     return [(words[o >> 1] ^ (mask if o & 1 else 0)) & mask for o in aig.outputs]
 
 

@@ -305,6 +305,8 @@ def evaluate(methods: list[MethodSpec], circuits: dict[str, Aig],
     """
     if not seeds:
         raise ValueError("seeds must not be empty")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     base_cfg = mcts_cfg or MctsConfig(iterations=64)
     runs: list[tuple] = []
     for circuit_id in sorted(circuits):

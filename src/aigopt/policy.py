@@ -399,6 +399,8 @@ def train(net: PolicyNetwork, circuits: list[Aig],
     the replay buffer, then takes one optimizer step on a uniformly sampled
     mini-batch."""
     cfg = cfg or TrainingConfig()
+    if cfg.epochs < 1:
+        raise ValueError("epochs must be >= 1")
     if not circuits:
         raise ValueError("training requires at least one circuit")
     names = [c.name for c in circuits]

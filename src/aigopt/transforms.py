@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import enum
 import heapq
-import random
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 
 from .aig import (
     KIND_AND,
@@ -27,7 +27,6 @@ from .aig import (
     Aig,
     AigBuilder,
     AigStats,
-    _eval_packed,
     stats,
 )
 from .isop import Expr, factor, isop, tt_ones, var_mask
@@ -35,13 +34,10 @@ from .isop import Expr, factor, isop, tt_ones, var_mask
 N_ACTIONS = 7
 DEFAULT_RECIPE_LEN = 10
 
-_SIM_SEED = 0x51AB17  # fixed seed: resub signatures are bit-reproducible
-_SIG_BITS = 64
-_SIG_MASK = (1 << _SIG_BITS) - 1
-
 _CUT_SIZE = 4
 _CUTS_PER_NODE = 8
 _REFACTOR_MAX_LEAVES = 10
+_CONE_BUDGET = 256  # most nodes one cone truth-table walk may expand
 _RESUB_WINDOW_DEPTH = 8
 _RESUB_LEAF_CAP = 12
 _RESUB_DIVISOR_CAP = 24
@@ -124,7 +120,7 @@ class _Net:
     overcount, never undercount, so gain tests stay conservative).
     """
 
-    def __init__(self, aig: Aig, sig: list[int] | None = None):
+    def __init__(self, aig: Aig):
         n = aig.n_nodes
         self.n_inputs = aig.n_inputs
         self.kind = [KIND_CONST] + [KIND_PI] * aig.n_inputs + [KIND_AND] * len(aig.ands)
@@ -132,7 +128,6 @@ class _Net:
         self.f1 = [0] * n
         self.ref = [0] * n
         self.level = list(aig.levels)
-        self.sig = sig  # per-node simulation words, extended by new nodes
         self.repl: dict[int, int] = {}
         self.strash: dict[tuple[int, int], int] = {}
         self.outputs = list(aig.outputs)
@@ -212,8 +207,6 @@ class _Net:
                 self.f1.pop()
                 self.ref.pop()
                 self.level.pop()
-                if self.sig is not None:
-                    self.sig.pop()
             else:  # "s": restore a deleted strash entry
                 key, lit = payload
                 self.strash[key] = lit
@@ -241,10 +234,6 @@ class _Net:
         self.f1.append(b)
         self.ref.append(0)
         self.level.append(1 + max(self.level[a >> 1], self.level[b >> 1]))
-        if self.sig is not None:
-            sa = self.sig[a >> 1] ^ (_SIG_MASK if a & 1 else 0)
-            sb = self.sig[b >> 1] ^ (_SIG_MASK if b & 1 else 0)
-            self.sig.append(sa & sb)
         self.strash[key] = 2 * v
         journal.append(("n", key))
         return 2 * v
@@ -341,13 +330,13 @@ class _Net:
         return builder.finish(out_lits)
 
 
-def _sweep(aig: Aig, zero_cost: bool, visit, sig: list[int] | None = None) -> Aig:
+def _sweep(aig: Aig, zero_cost: bool, visit) -> Aig:
     """Calls ``visit(net, v, min_gain)`` on each live, unreplaced AND node of
     a working copy of ``aig``, then rebuilds it; returns ``aig`` itself when
     the rebuild holds more ANDs."""
     if not aig.ands:
         return aig
-    net = _Net(aig, sig)
+    net = _Net(aig)
     min_gain = 0 if zero_cost else 1
     for v in range(aig.first_and(), aig.n_nodes):
         if net.ref[v] == 0 or v in net.repl:
@@ -575,42 +564,50 @@ def rewrite(aig: Aig, zero_cost: bool = False) -> Aig:
 # Refactor
 # ---------------------------------------------------------------------------
 
-def _cone_tt(net: _Net, root: int, leaf_index: dict[int, int], n_vars: int,
-             budget: int = 256, forbidden: int = -1) -> int | None:
-    """Truth table of node ``root`` over the leaf variables, computed on the
-    resolved current structure. Returns None if the cone escapes the leaf
-    boundary, exceeds the node budget, or touches ``forbidden`` (used to
-    reject divisors whose cone contains the node being replaced, which would
-    create a cycle)."""
-    ones = tt_ones(n_vars)
-    memo: dict[int, int] = {0: 0}
-    for w, j in leaf_index.items():
-        memo[w] = var_mask(j, n_vars)
-    stack = [root]
+def _leaf_tts(leaves: list[int]) -> dict[int, int | None]:
+    """Seed of a ``_cone_tt`` memo: the constant node and each leaf's
+    projection over the sorted ``leaves``."""
+    memo: dict[int, int | None] = {0: 0}
+    for j, w in enumerate(leaves):
+        memo[w] = var_mask(j, len(leaves))
+    return memo
+
+
+def _cone_tt(net: _Net, roots: list[int], memo: dict[int, int | None],
+             ones: int) -> int:
+    """Stores in ``memo`` the truth table of each node in ``roots``, and of
+    every node of their resolved cones that ``memo`` lacks, over the leaf
+    variables that ``memo`` was seeded with (``ones`` is the all-ones table).
+    A node whose cone reaches a None entry, or a primary input not in
+    ``memo``, gets None. Returns how many nodes the walk expanded; callers
+    reject a root when its own walk from the bare seed expands more than
+    ``_CONE_BUDGET``."""
+    stack = list(roots)
     expanded = 0
     while stack:
         u = stack[-1]
         if u in memo:
             stack.pop()
             continue
-        if u == forbidden:
-            return None
         if net.kind[u] != KIND_AND:
-            return None  # reached a primary input outside the leaf set
+            memo[u] = None  # a primary input outside the leaf set
+            stack.pop()
+            continue
         a = net.resolve(net.f0[u])
         b = net.resolve(net.f1[u])
         need = [w >> 1 for w in (a, b) if (w >> 1) not in memo]
         if need:
             expanded += 1
-            if expanded > budget:
-                return None
             stack.extend(need)
             continue
-        ta = memo[a >> 1] ^ (ones if a & 1 else 0)
-        tb = memo[b >> 1] ^ (ones if b & 1 else 0)
-        memo[u] = ta & tb & ones
+        ta = memo[a >> 1]
+        tb = memo[b >> 1]
+        if ta is None or tb is None:
+            memo[u] = None
+        else:
+            memo[u] = (ta ^ ones if a & 1 else ta) & (tb ^ ones if b & 1 else tb)
         stack.pop()
-    return memo[root]
+    return expanded
 
 
 def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
@@ -641,11 +638,11 @@ def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
             return
         if len(cone) < 2 and not zero_cost:
             return  # single-node cone cannot shrink
-        leaf_index = {w: j for j, w in enumerate(leaves)}
-        tt = _cone_tt(net, v, leaf_index, len(leaves))
-        if tt is None:
+        memo = _leaf_tts(leaves)
+        if _cone_tt(net, [v], memo, tt_ones(len(leaves))) > _CONE_BUDGET \
+                or memo[v] is None:
             return
-        expr = _resynth(tt, len(leaves))
+        expr = _resynth(memo[v], len(leaves))
         net.try_replace(v, expr, [2 * w for w in leaves], min_gain)
 
     return _sweep(aig, zero_cost, visit)
@@ -718,41 +715,49 @@ def _side_divisors(net: _Net, v: int, interior: list[int], leaves: list[int],
     return admitted
 
 
-def _resub_candidates(divisor_lits: list[int], sigs: list[int], target: int):
-    """Simulation-signature screen: yields ``(lits, compl)`` for each single
-    divisor literal, then each polarized divisor pair, whose AND (complemented
-    when ``compl``) has the ``target`` signature. ``sigs`` is per node."""
-    target_n = target ^ _SIG_MASK
-    divisors = [(r, sigs[r >> 1] ^ (_SIG_MASK if r & 1 else 0))
-                for r in divisor_lits]
-    for r, s in divisors:
-        if s == target:
-            yield [r], False
-        elif s == target_n:
-            yield [r ^ 1], False
-    for i1, (r1, s1) in enumerate(divisors):
-        s1n = s1 ^ _SIG_MASK
-        for r2, s2 in divisors[i1 + 1:]:
-            s2n = s2 ^ _SIG_MASK
-            for conj, c1, c2 in ((s1 & s2, 0, 0), (s1 & s2n, 0, 1),
-                                 (s1n & s2, 1, 0), (s1n & s2n, 1, 1)):
-                if conj == target:
-                    yield [r1 ^ c1, r2 ^ c2], False
-                elif conj == target_n:
-                    yield [r1 ^ c1, r2 ^ c2], True
-
-
 _RESUB_EXPRS = {1: ("var", 0, False),
                 2: ("and", ("var", 0, False), ("var", 1, False))}
 
 
+def _resub_pairs(divisors: list[tuple[int, int]], tt_v: int, ones: int):
+    """Yields ``(lits, compl)`` for each pair of polarized literals of
+    ``divisors`` (literal, table) whose AND is ``tt_v`` (``compl`` false) or
+    its complement, by (first divisor, second divisor, polarities 00, 01, 10,
+    11). Only literals holding every minterm of the wanted table can pair:
+    ``to_v`` and ``to_comp`` list them as (divisor, polarity, literal, table)."""
+    comp_v = tt_v ^ ones
+    to_v, to_comp = [], []
+    for i, (r, t) in enumerate(divisors):
+        x = tt_v & t
+        if x == tt_v:
+            to_v.append((i, 0, r, t))
+        if x == 0:
+            to_v.append((i, 1, r ^ 1, t ^ ones))
+        if t | tt_v == ones:
+            to_comp.append((i, 0, r, t))
+        if x == t:
+            to_comp.append((i, 1, r ^ 1, t ^ ones))
+    hits = []
+    for compl, target, lits in ((False, tt_v, to_v), (True, comp_v, to_comp)):
+        for k, (i1, c1, l1, t1) in enumerate(lits):
+            for i2, c2, l2, t2 in lits[k + 1:]:
+                if i2 != i1 and t1 & t2 == target:
+                    hits.append((i1, i2, 2 * c1 + c2, [l1, l2], compl))
+    hits.sort()  # (i1, i2, polarity) is unique per hit
+    for *_, pair, compl in hits:
+        yield pair, compl
+
+
 def resub(aig: Aig, zero_cost: bool = False) -> Aig:
     """Windowed resubstitution: re-expresses a node as a (possibly
-    complemented) single divisor or AND/OR of two divisors from its window,
-    filtered by simulation signatures and confirmed on window truth tables."""
-    rng = random.Random(_SIM_SEED)
-    sig = _eval_packed(aig, [rng.getrandbits(_SIG_BITS)
-                             for _ in range(aig.n_inputs)], _SIG_BITS)
+    complemented) single divisor or AND/OR of two divisors from its window.
+
+    Every window node's truth table over the window's leaves comes from one
+    shared ``_cone_tt`` memo per node: the node first, then its divisors
+    with the node poisoned, so that a divisor whose cone holds the node (a
+    cycle) or leaves the window drops out. Candidates are screened on these
+    exact tables: single divisors first, then pairs.
+    """
     first_and = aig.first_and()
     fanout_lists: list[list[int]] = [[] for _ in range(aig.n_nodes)]
     for k, (f0, f1) in enumerate(aig.ands):
@@ -763,6 +768,11 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
         interior, leaves = _resub_window(net, v)
         if not leaves:
             return
+        memo = _leaf_tts(leaves)
+        ones = tt_ones(len(leaves))
+        if _cone_tt(net, [v], memo, ones) > _CONE_BUDGET or memo[v] is None:
+            return
+        tt_v = memo[v]
         mffc = net.mffc(v)
         side = _side_divisors(net, v, interior, leaves, mffc, fanout_lists)
         seen_lits: set[int] = set()
@@ -777,38 +787,28 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
             divisor_lits.append(r)
         divisor_lits.sort(key=lambda lit: (-net.level[lit >> 1], lit))
         divisor_lits = divisor_lits[:_RESUB_DIVISOR_CAP]
-        n_vars = len(leaves)
-        leaf_index = {w: j for j, w in enumerate(leaves)}
-        ones = tt_ones(n_vars)
-        tt_cache: dict[int, int | None] = {}
-        tt_v: int | None = None
-
-        def tt_of(lit: int) -> int | None:
-            # forbidden=v rejects divisors whose resolved cone contains v
-            var = lit >> 1
-            if var not in tt_cache:
-                tt_cache[var] = _cone_tt(net, var, leaf_index, n_vars,
-                                         forbidden=v)
-            tt = tt_cache[var]
-            if tt is None:
-                return None
-            return (tt ^ ones) if lit & 1 else tt
-
-        for lits, compl in _resub_candidates(divisor_lits, net.sig, net.sig[v]):
-            if tt_v is None:
-                # computed lazily: most nodes never see a signature hit
-                tt_v = _cone_tt(net, v, leaf_index, n_vars)
-                if tt_v is None:
-                    return
-            tts = [tt_of(lit) for lit in lits]
-            # a single divisor is ANDed with itself
-            if None in tts or (tts[0] & tts[-1]) ^ (ones if compl else 0) != tt_v:
-                continue
+        memo[v] = None  # a divisor whose cone holds v would close a cycle
+        _cone_tt(net, [r >> 1 for r in divisor_lits], memo, ones)
+        # A root's own walk from the seed (0, the leaves, v) expands only
+        # nodes the shared memo holds beyond it: recount only above that.
+        if len(memo) - len(leaves) - 2 > _CONE_BUDGET:
+            for r in divisor_lits:
+                if memo[r >> 1] is not None:
+                    seed = _leaf_tts(leaves)
+                    seed[v] = None
+                    if _cone_tt(net, [r >> 1], seed, ones) > _CONE_BUDGET:
+                        memo[r >> 1] = None
+        divisors = [(r, memo[r >> 1] ^ ones if r & 1 else memo[r >> 1])
+                    for r in divisor_lits if memo[r >> 1] is not None]
+        comp_v = tt_v ^ ones
+        singles = [([r if t == tt_v else r ^ 1], False)
+                   for r, t in divisors if t == tt_v or t == comp_v]
+        for lits, compl in chain(singles, _resub_pairs(divisors, tt_v, ones)):
             if net.try_replace(v, _RESUB_EXPRS[len(lits)], lits, min_gain,
                                root_compl=compl) is not None:
                 return
 
-    return _sweep(aig, zero_cost, visit, sig)
+    return _sweep(aig, zero_cost, visit)
 
 
 # ---------------------------------------------------------------------------

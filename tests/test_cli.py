@@ -283,6 +283,29 @@ def test_bench_without_seeds_exits_two(tmp_path, capsys):
     assert "seeds" in err
 
 
+def test_train_without_epochs_exits_two(tmp_path, capsys):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    capsys.readouterr()
+    assert run(["train", "--circuits", str(circuit), "--out",
+                str(tmp_path / "m.bin"), "--epochs", "0", "--k", "2"]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "epochs" in err
+    assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_jobs_below_one_exits_two(tmp_path, capsys, jobs):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    capsys.readouterr()
+    assert run(["bench", "--test", str(circuit), "--methods", "pure_mcts",
+                "--jobs", jobs, "--budget", "2", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "jobs" in err
+
+
 @pytest.mark.parametrize("bad_file, bad_row", [
     ("val.csv", "{circuit}"),        # validation row without its label
     ("bank.csv", "x"),               # bank row without dim and values

@@ -250,6 +250,79 @@ def test_resub_monotone_and_equivalent(corpus_small):
         assert bool(equivalent(g, hz)), g.name
 
 
+# sha256 over the AIGER bytes of rs and then rsz on each circuit, taken
+# while resub still screened divisors on 64-bit simulation signatures and
+# confirmed the hits on window truth tables. There, rs and rsz over these
+# eight circuits committed 21 single-divisor and 1,316 pair replacements,
+# and 7,860 pair signature hits failed the truth-table confirmation.
+_RESUB_DIGESTS = {
+    "array_multiplier_6":
+        "3d37a882d6408544eca72314c7b279748a5df7742f8d0e365d42e8467cfb61ae",
+    "array_multiplier_6_rw":
+        "01951be23c8db8ebb943d7116f8cea35b8c7391188899b76fa426e7774d36dce",
+    "comparator_12":
+        "64ebcc4380a5931deae4954a718c1430661131c4ab42f87d017716e611b2f676",
+    "comparator_12_rw":
+        "98fd6f03b2d94192385b1c0a53f506ac01adb147f979ddcf64eb4afd0fa25906",
+    "ripple_adder_12":
+        "d7fffd82e772f9288d384bbe23c4964c78921c423a1c81b706fabc146b7e199e",
+    "ripple_adder_12_rw":
+        "cccff76cd64111cc875b6801be1d57a89c30ebb508700f3df9ebca312b8985c0",
+    "random_dag_400_0":
+        "a576ce682d5f3211a122c355b20d4b844a5be9007115cbdf170fcfa3be4761c0",
+    "random_dag_400_0_rw":
+        "78c7bd461ce5fd39210190f21da0f6115cc898e5b2bc2275f753899c34e4265b",
+}
+
+# The same, taken with a cone budget of 4 expanded nodes per root walk, so
+# that the budget rejects many divisors and the per-root recount behind a
+# shared memo larger than the budget decides the output.
+_RESUB_BUDGET_4_DIGESTS = {
+    "array_multiplier_6":
+        "79b56746636cbde14a4bd802923321c44c383b1b7427b1d3c5bdf9ef43f52da9",
+    "array_multiplier_6_rw":
+        "e02f1fa8861aed13fc147f811ec8f30bbccf3d427d5607f0ac1cca9ddeffdbd5",
+    "comparator_12":
+        "64ebcc4380a5931deae4954a718c1430661131c4ab42f87d017716e611b2f676",
+    "comparator_12_rw":
+        "98fd6f03b2d94192385b1c0a53f506ac01adb147f979ddcf64eb4afd0fa25906",
+    "ripple_adder_12":
+        "d7fffd82e772f9288d384bbe23c4964c78921c423a1c81b706fabc146b7e199e",
+    "ripple_adder_12_rw":
+        "e444434f7949da61d14be2ebe3a149a8dda9320ee8230956f890d44073755e1b",
+    "random_dag_400_0":
+        "eccfec161b8917fe9e191edc8c61ff83574dffaae65945d1677cab8e0fc07f75",
+    "random_dag_400_0_rw":
+        "14c4714f8e8907dd27138caf5c74769d2c9c32a8f5f9ae6b001b153e8f7cfa6f",
+}
+
+
+def _resub_digests() -> dict[str, str]:
+    import hashlib
+
+    from aigopt.bench import (array_multiplier, comparator, random_dag,
+                              ripple_adder)
+
+    digests = {}
+    for g in [array_multiplier(6), comparator(12), ripple_adder(12),
+              random_dag(400, seed=0)]:
+        for name, circuit in ((g.name, g), (g.name + "_rw", rewrite(g))):
+            h = hashlib.sha256()
+            for zero_cost in (False, True):
+                h.update(write_aiger(resub(circuit, zero_cost=zero_cost)))
+            digests[name] = h.hexdigest()
+    return digests
+
+
+def test_resub_matches_parent_digest():
+    assert _resub_digests() == _RESUB_DIGESTS
+
+
+def test_resub_cone_budget_matches_parent_digest(monkeypatch):
+    monkeypatch.setattr(transforms, "_CONE_BUDGET", 4)
+    assert _resub_digests() == _RESUB_BUDGET_4_DIGESTS
+
+
 # ---------------------------------------------------------------------------
 # apply / apply_recipe
 # ---------------------------------------------------------------------------
