@@ -16,10 +16,6 @@ import numpy as np
 
 from .isop import var_mask
 
-KIND_CONST = 0
-KIND_PI = 1
-KIND_AND = 2
-
 CONST_FALSE = 0  # literal of the constant-false node
 CONST_TRUE = 1
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import weakref
 from dataclasses import asdict, dataclass, field
@@ -44,6 +45,11 @@ class PolicyConfig:
     leaky_slope: float = 0.01
     final_layer_scale: float = 0.01
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("gcn_layers", "d_hidden", "d_emb", "d_head"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
@@ -385,6 +391,12 @@ class TrainingConfig:
     alpha: float = 1.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
+
 
 @dataclass
 class TrainResult:
@@ -399,8 +411,6 @@ def train(net: PolicyNetwork, circuits: list[Aig],
     the replay buffer, then takes one optimizer step on a uniformly sampled
     mini-batch."""
     cfg = cfg or TrainingConfig()
-    if cfg.epochs < 1:
-        raise ValueError("epochs must be >= 1")
     if not circuits:
         raise ValueError("training requires at least one circuit")
     names = [c.name for c in circuits]
@@ -490,7 +500,7 @@ def load(path) -> PolicyNetwork:
     offset += header_len
     try:
         net = PolicyNetwork(PolicyConfig(**header["config"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad model config in header: {exc}") from exc
     for key in _GROUPS:
         if key not in header:

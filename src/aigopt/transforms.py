@@ -1,9 +1,10 @@
 """The seven functionality-preserving optimization passes.
 
 Passes never mutate their input. Each structural pass (rewrite, refactor,
-resub) runs on a mutable working copy with fanout reference counts; a
-replacement is committed only when the exact live-node delta meets the gain
-rule, so node count never increases. Balance rebuilds maximal AND trees and
+resub) runs on a mutable working copy with fanout reference counts. A trial
+replacement counts its gain, the ANDs it frees less the ANDs its candidate
+revives or adds, in an overlay of those counts; only a commit, made when the
+gain meets the gain rule, writes them. Balance rebuilds maximal AND trees and
 never increases depth. Every pass falls back to returning its input
 unchanged if the objective guard would be violated. ``apply`` is the one
 place that reuses pass results: it memoizes them by circuit structure in a
@@ -20,15 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 
-from .aig import (
-    KIND_AND,
-    KIND_CONST,
-    KIND_PI,
-    Aig,
-    AigBuilder,
-    AigStats,
-    stats,
-)
+from .aig import Aig, AigBuilder, AigStats, stats
 from .isop import Expr, factor, isop, tt_ones, var_mask
 
 N_ACTIONS = 7
@@ -108,22 +101,22 @@ RESYN2 = Recipe.parse("b,rw,rf,b,rw,rwz,b,rfz,rwz,b")
 
 
 # ---------------------------------------------------------------------------
-# Mutable working network with exact live-node accounting
+# Mutable working network with reference-counted gains
 # ---------------------------------------------------------------------------
 
 class _Net:
     """Reference-counted AND graph used inside a structural pass.
 
-    A node is live iff its reference count is positive; a dead node holds no
-    references to its fanins. ``n_live`` therefore tracks exactly how many
-    AND nodes the final rebuilt graph can contain (stale hash entries may
-    overcount, never undercount, so gain tests stay conservative).
+    ``ref`` counts the references from the outputs and from the unresolved
+    fanins of nodes with a positive count. A replaced node keeps its old
+    fanouts' references, so its count goes negative as they die and a dead
+    fanout revived through it makes it live again: the ANDs with a positive
+    count bound the rebuilt graph from above, they do not equal it.
     """
 
     def __init__(self, aig: Aig):
         n = aig.n_nodes
         self.n_inputs = aig.n_inputs
-        self.kind = [KIND_CONST] + [KIND_PI] * aig.n_inputs + [KIND_AND] * len(aig.ands)
         self.f0 = [0] * n
         self.f1 = [0] * n
         self.ref = [0] * n
@@ -141,7 +134,6 @@ class _Net:
             self.ref[b >> 1] += 1
         for o in self.outputs:
             self.ref[o >> 1] += 1
-        self.n_live = sum(1 for v in range(base, n) if self.ref[v] > 0)
         self.orig_nodes = n
 
     # -- resolution ---------------------------------------------------------
@@ -159,61 +151,9 @@ class _Net:
         self.repl[v] = r
         return r ^ (lit & 1)
 
-    # -- journaled reference counting ----------------------------------------
-
-    def _inc(self, v: int, journal: list) -> None:
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            r = self.ref[u]
-            self.ref[u] = r + 1
-            journal.append(("i", u))
-            if r == 0 and self.kind[u] == KIND_AND:
-                self.n_live += 1
-                stack.append(self.f0[u] >> 1)
-                stack.append(self.f1[u] >> 1)
-
-    def _dec(self, v: int, journal: list, freed: list | None = None) -> None:
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            r = self.ref[u] - 1
-            self.ref[u] = r
-            journal.append(("d", u))
-            if r == 0 and self.kind[u] == KIND_AND:
-                self.n_live -= 1
-                if freed is not None:
-                    freed.append(u)
-                stack.append(self.f0[u] >> 1)
-                stack.append(self.f1[u] >> 1)
-
-    def _undo(self, journal: list) -> None:
-        for entry in reversed(journal):
-            tag, payload = entry
-            if tag == "i":
-                r = self.ref[payload] - 1
-                self.ref[payload] = r
-                if r == 0 and self.kind[payload] == KIND_AND:
-                    self.n_live -= 1
-            elif tag == "d":
-                r = self.ref[payload]
-                self.ref[payload] = r + 1
-                if r == 0 and self.kind[payload] == KIND_AND:
-                    self.n_live += 1
-            elif tag == "n":
-                del self.strash[payload]
-                self.kind.pop()
-                self.f0.pop()
-                self.f1.pop()
-                self.ref.pop()
-                self.level.pop()
-            else:  # "s": restore a deleted strash entry
-                key, lit = payload
-                self.strash[key] = lit
-
     # -- candidate construction ----------------------------------------------
 
-    def _and(self, a: int, b: int, journal: list) -> int:
+    def _and(self, a: int, b: int) -> int:
         if a > b:
             a, b = b, a
         if a == 0:
@@ -228,68 +168,92 @@ class _Net:
         hit = self.strash.get(key)
         if hit is not None:
             return hit
-        v = len(self.kind)
-        self.kind.append(KIND_AND)
+        v = len(self.f0)
         self.f0.append(a)
         self.f1.append(b)
         self.ref.append(0)
         self.level.append(1 + max(self.level[a >> 1], self.level[b >> 1]))
         self.strash[key] = 2 * v
-        journal.append(("n", key))
         return 2 * v
 
-    def _build(self, expr: Expr, leaves: list[int], journal: list) -> int:
+    def _build(self, expr: Expr, leaves: list[int]) -> int:
         tag = expr[0]
         if tag == "const":
             return 1 if expr[1] else 0
         if tag == "var":
             return leaves[expr[1]] ^ (1 if expr[2] else 0)
-        left = self._build(expr[1], leaves, journal)
-        right = self._build(expr[2], leaves, journal)
+        left = self._build(expr[1], leaves)
+        right = self._build(expr[2], leaves)
         if tag == "and":
-            return self._and(left, right, journal)
-        return self._and(left ^ 1, right ^ 1, journal) ^ 1
+            return self._and(left, right)
+        return self._and(left ^ 1, right ^ 1) ^ 1
+
+    # -- trial replacement ----------------------------------------------------
+
+    def _deref(self, v: int) -> tuple[dict[int, int], list[int]]:
+        """Counts of deleting ``v``, without changing ``ref``: ``counts``
+        maps each node whose count would change to its new count, and
+        ``freed`` lists the ANDs that would drop to zero (``v``'s MFFC)."""
+        ref, f0, f1 = self.ref, self.f0, self.f1
+        counts: dict[int, int] = {}
+        freed: list[int] = []
+        stack = [v] * ref[v]
+        while stack:
+            u = stack.pop()
+            r = counts.get(u, ref[u]) - 1
+            counts[u] = r
+            if r == 0 and u > self.n_inputs:
+                freed.append(u)
+                stack.append(f0[u] >> 1)
+                stack.append(f1[u] >> 1)
+        return counts, freed
 
     def try_replace(self, v: int, expr: Expr, leaves: list[int], min_gain: int,
                     root_compl: bool = False, commit: bool = True) -> int | None:
         """Attempts to replace node ``v`` by ``expr`` over ``leaves``.
 
-        Returns the exact live-node gain when it is at least ``min_gain``
-        (committing unless ``commit`` is false); otherwise rolls back every
-        side effect and returns None.
+        The gain is the ANDs freed by deleting ``v`` less the ANDs that the
+        new root's references bring to a positive count. Returns it when it
+        is at least ``min_gain``, committing unless ``commit`` is false;
+        otherwise returns None. Only a commit changes the net.
         """
-        journal: list = []
-        live_before = self.n_live
-        key = (self.f0[v], self.f1[v])
-        if self.strash.get(key) == 2 * v:
-            del self.strash[key]
-            journal.append(("s", (key, 2 * v)))
-        ext = self.ref[v]
-        for _ in range(ext):
-            self._dec(v, journal)
-        root = self._build(expr, leaves, journal)
-        if root_compl:
-            root ^= 1
-        if root >> 1 == v:
-            self._undo(journal)
+        counts, freed = self._deref(v)
+        if len(freed) < min_gain:
             return None
-        for _ in range(ext):
-            self._inc(root >> 1, journal)
-        gain = live_before - self.n_live
-        if gain >= min_gain and commit:
+        ref, f0, f1 = self.ref, self.f0, self.f1
+        n = len(f0)
+        key = (f0[v], f1[v])
+        own_key = self.strash.get(key) == 2 * v
+        if own_key:
+            del self.strash[key]
+        root = self._build(expr, leaves) ^ (1 if root_compl else 0)
+        gain = None if root >> 1 == v else len(freed)
+        stack = [root >> 1] * ref[v]
+        while stack and gain is not None:
+            u = stack.pop()
+            r = counts.get(u, ref[u])
+            counts[u] = r + 1
+            if r == 0 and u > self.n_inputs:
+                gain -= 1
+                if gain < min_gain:
+                    gain = None
+                stack.append(f0[u] >> 1)
+                stack.append(f1[u] >> 1)
+        if gain is not None and commit:
+            for u, r in counts.items():
+                ref[u] = r
             self.repl[v] = root
             return gain
-        self._undo(journal)
-        return gain if gain >= min_gain else None
+        for u in range(n, len(f0)):
+            del self.strash[(f0[u], f1[u])]
+        del f0[n:], f1[n:], ref[n:], self.level[n:]
+        if own_key:
+            self.strash[key] = 2 * v
+        return gain
 
     def mffc(self, v: int) -> set[int]:
         """AND nodes freed if ``v`` were deleted (including ``v``)."""
-        journal: list = []
-        freed: list[int] = []
-        for _ in range(self.ref[v]):
-            self._dec(v, journal, freed)
-        self._undo(journal)
-        return set(freed)
+        return set(self._deref(v)[1])
 
     # -- final rebuild --------------------------------------------------------
 
@@ -545,14 +509,14 @@ def rewrite(aig: Aig, zero_cost: bool = False) -> Aig:
     cuts = _enumerate_cuts(aig)
 
     def visit(net: _Net, v: int, min_gain: int) -> None:
-        best_gain = None
         best_cut = None
+        limit = min_gain  # ties go to the earlier cut
         for leaves, tt in cuts[v][1:]:
             expr = _resynth(tt, len(leaves))
             lits = [net.resolve(2 * w) for w in leaves]
-            gain = net.try_replace(v, expr, lits, min_gain, commit=False)
-            if gain is not None and (best_gain is None or gain > best_gain):
-                best_gain = gain
+            gain = net.try_replace(v, expr, lits, limit, commit=False)
+            if gain is not None:
+                limit = gain + 1
                 best_cut = (expr, lits)
         if best_cut is not None:
             net.try_replace(v, best_cut[0], best_cut[1], min_gain)
@@ -589,7 +553,7 @@ def _cone_tt(net: _Net, roots: list[int], memo: dict[int, int | None],
         if u in memo:
             stack.pop()
             continue
-        if net.kind[u] != KIND_AND:
+        if u <= net.n_inputs:
             memo[u] = None  # a primary input outside the leaf set
             stack.pop()
             continue
@@ -629,7 +593,7 @@ def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
                 w = net.resolve(f) >> 1
                 if w in cone:
                     continue
-                if w in mffc and net.kind[w] == KIND_AND:
+                if w in mffc and w > net.n_inputs:
                     queue.append(w)
                 elif w not in leaves:
                     leaves.append(w)
@@ -671,7 +635,7 @@ def _resub_window(net: _Net, v: int):
                 if w in seen:
                     continue
                 seen.add(w)
-                if net.kind[w] == KIND_AND and net.level[w] > cutoff:
+                if w > net.n_inputs and net.level[w] > cutoff:
                     interior.append(w)
                     stack.append(w)
                 elif w != 0:

@@ -294,6 +294,23 @@ def test_train_without_epochs_exits_two(tmp_path, capsys):
     assert not (tmp_path / "m.bin").exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--d-hidden", "0", "d_hidden"), ("--gcn-layers", "0", "gcn_layers"),
+    ("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+    ("--lr", "0", "learning_rate"), ("--lr", "-1", "learning_rate")])
+def test_train_size_or_rate_out_of_range_exits_two(tmp_path, capsys, flag,
+                                                   value, field):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    capsys.readouterr()
+    assert run(["train", "--circuits", str(circuit), "--out",
+                str(tmp_path / "m.bin"), "--epochs", "1", "--k", "2",
+                flag, value]) == 2
+    err = _assert_one_line_error(capsys)
+    assert field in err
+    assert not (tmp_path / "m.bin").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_bench_jobs_below_one_exits_two(tmp_path, capsys, jobs):
     circuit = tmp_path / "a.aag"
