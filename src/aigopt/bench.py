@@ -276,8 +276,8 @@ def _run_one(circuit: Aig, circuit_id: str, method_name: str,
         # A timed run starts cold, so its time does not depend on which
         # runs came before it in this process.
         _MEMO.clear()
-    evaluator = RecipeEvaluator(circuit, recipe_len=cfg.recipe_len,
-                                budget=budget, measure_time=measure_time)
+    evaluator = RecipeEvaluator(circuit, budget=budget,
+                                measure_time=measure_time)
     start = time.perf_counter() if measure_time else 0.0
     result = generate_recipe(evaluator, cfg, policy=policy)
     wall = time.perf_counter() - start if measure_time else 0.0
@@ -285,8 +285,8 @@ def _run_one(circuit: Aig, circuit_id: str, method_name: str,
     best = result.best_qor
     reduction = 100.0 * (1.0 - best / base_adp) if base_adp > 0 else 0.0
     row = EvalRow(method_name, circuit_id, cfg.seed, cfg.alpha, base_adp,
-                  result.final_qor, best, reduction, result.budget_used, wall)
-    return row, result.trace
+                  result.final_qor, best, reduction, evaluator.calls, wall)
+    return row, evaluator.trace
 
 
 def evaluate(methods: list[MethodSpec], circuits: dict[str, Aig],

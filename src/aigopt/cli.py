@@ -54,10 +54,13 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def _write_manifest(target: Path, command: str, config: dict,
-                    outputs: list[str], wall_s: float) -> None:
+def _write_manifest(target: Path, args, outputs: list[str],
+                    wall_s: float) -> None:
+    """Records the command, every parsed flag, the outputs and wall time."""
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("func", "command")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "outputs": outputs,
         "run": {"git_describe": _git_describe(),
@@ -67,8 +70,7 @@ def _write_manifest(target: Path, command: str, config: dict,
 
 
 def _load_circuit(path: Path):
-    aig = parse_aiger(path.read_bytes(), name=path.stem)
-    return aig
+    return parse_aiger(path.read_bytes(), name=path.stem)
 
 
 def _write_trace_csv(path: Path, trace) -> None:
@@ -92,9 +94,7 @@ def cmd_gen(args) -> int:
     s = stats(aig)
     print(f"{aig.name}: inputs={s.input_count} outputs={s.output_count} "
           f"nodes={s.node_count} depth={s.depth} -> {out}")
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "gen",
-                    {"family": args.family, "size": args.size,
-                     "seed": args.seed, "out": str(out)},
+    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), args,
                     [str(out)], time.perf_counter() - start)
     return 0
 
@@ -139,23 +139,22 @@ def cmd_search(args) -> int:
               f"-> alpha={alpha_value:g}")
     else:
         alpha_value = fixed_alpha
-    out_dir = _resolve_path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     mcts_cfg = MctsConfig(c_uct=args.c_uct, iterations=args.k,
                           alpha=alpha_value, seed=args.seed,
                           recipe_len=args.recipe_len)
-    evaluator = RecipeEvaluator(aig, recipe_len=args.recipe_len,
-                                budget=args.budget,
+    evaluator = RecipeEvaluator(aig, budget=args.budget,
                                 measure_time=args.measure_time)
+    out_dir = _resolve_path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = generate_recipe(evaluator, mcts_cfg, policy=net)
     print(f"recipe: {result.recipe}")
     print(f"final adp: {result.final_qor:g}  "
           f"best adp: {result.best_qor:g}  "
           f"baseline adp: {evaluator.baseline:g}")
-    print(f"synthesis calls: {result.budget_used}"
+    print(f"synthesis calls: {evaluator.calls}"
           + (" (budget exhausted)" if result.exhausted else ""))
     trace_path = out_dir / "trace.csv"
-    _write_trace_csv(trace_path, result.trace)
+    _write_trace_csv(trace_path, evaluator.trace)
     result_path = out_dir / "result.json"
     result_path.write_text(json.dumps({
         "circuit": aig.name,
@@ -165,15 +164,11 @@ def cmd_search(args) -> int:
         "final_adp": result.final_qor,
         "best_adp": result.best_qor,
         "baseline_adp": evaluator.baseline,
-        "budget_used": result.budget_used,
+        "budget_used": evaluator.calls,
         "exhausted": result.exhausted,
-        "cache_hits": result.cache_hits,
+        "cache_hits": evaluator.cache_hits,
     }, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir / "manifest.json", "search",
-                    {"aig": args.aig, "model": args.model,
-                     "alpha": args.alpha, "budget": args.budget,
-                     "seed": args.seed, "k": args.k,
-                     "recipe_len": args.recipe_len, "c_uct": args.c_uct},
+    _write_manifest(out_dir / "manifest.json", args,
                     [str(trace_path), str(result_path)],
                     time.perf_counter() - start)
     return 0
@@ -186,8 +181,8 @@ def cmd_train(args) -> int:
         gcn_layers=args.gcn_layers, d_hidden=args.d_hidden,
         recipe_len=args.recipe_len, seed=args.seed))
     cfg = policy_mod.TrainingConfig(
-        epochs=args.epochs, learning_rate=args.lr,
-        k_iterations=args.k, recipe_len=args.recipe_len, seed=args.seed)
+        epochs=args.epochs, learning_rate=args.lr, k_iterations=args.k,
+        seed=args.seed)
     result = policy_mod.train(net, circuits, cfg)
     out = _resolve_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -209,13 +204,8 @@ def cmd_train(args) -> int:
         outputs.append(str(bank_path))
     print(f"trained on {len(circuits)} circuits for {args.epochs} epochs; "
           f"loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f}")
-    _write_manifest(out.with_suffix(".manifest.json"), "train",
-                    {"circuits": list(args.circuits), "epochs": args.epochs,
-                     "k": args.k, "lr": args.lr, "seed": args.seed,
-                     "recipe_len": args.recipe_len,
-                     "gcn_layers": args.gcn_layers,
-                     "d_hidden": args.d_hidden},
-                    outputs, time.perf_counter() - start)
+    _write_manifest(out.with_suffix(".manifest.json"), args, outputs,
+                    time.perf_counter() - start)
     return 0
 
 
@@ -241,22 +231,19 @@ def cmd_calibrate(args) -> int:
             circuit = _load_circuit(Path(path))
             validation.append((circuit.name, net.encode_aig(circuit), label))
     delta_th = ood_mod.calibrate([(h, lbl) for _, h, lbl in validation], bank)
+    gate = ood_mod.OodConfig(delta_th, args.temperature)
     out = _resolve_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps({"delta_th": delta_th,
-                               "temperature": args.temperature},
-                              indent=2, sort_keys=True) + "\n")
+    out.write_text(json.dumps(dataclasses.asdict(gate), indent=2,
+                              sort_keys=True) + "\n")
     outputs = [str(out)]
     if args.report:
         report_path = _resolve_path(args.report)
         ood_mod.write_calibration_report(report_path, validation, bank, delta_th)
         outputs.append(str(report_path))
     print(f"delta_th = {delta_th:.6f} (T = {args.temperature:g})")
-    _write_manifest(out.with_suffix(".manifest.json"), "calibrate",
-                    {"model": args.model, "bank": args.bank,
-                     "validation": args.validation,
-                     "temperature": args.temperature},
-                    outputs, time.perf_counter() - start)
+    _write_manifest(out.with_suffix(".manifest.json"), args, outputs,
+                    time.perf_counter() - start)
     return 0
 
 
@@ -287,7 +274,6 @@ def cmd_bench(args) -> int:
     net = policy_mod.load(args.model) if args.model else None
     bank = ood_mod.EmbeddingBank.load_csv(args.bank) if args.bank else None
     out_dir = _resolve_path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def trace_sink(method, circuit, seed, trace):
         run_dir = out_dir / "traces" / method / circuit
@@ -300,6 +286,7 @@ def cmd_bench(args) -> int:
         mcts_cfg=MctsConfig(iterations=args.k, recipe_len=args.recipe_len),
         measure_time=args.measure_time, trace_sink=trace_sink,
         jobs=args.jobs)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.csv").write_text(report.to_csv())
     (out_dir / "report.json").write_text(report.to_json() + "\n")
     for method, agg in sorted(report.aggregates.items()):
@@ -308,13 +295,7 @@ def cmd_bench(args) -> int:
                   f"{agg['geomean_reduction_pct']:.2f}% "
                   f"win/tie/loss {agg['win']}/{agg['tie']}/{agg['loss']} "
                   f"iso-QoR speedup {agg['iso_qor_speedup_vs_reference']:.2f}x")
-    _write_manifest(out_dir / "manifest.json", "bench",
-                    {"methods": args.methods, "test": list(args.test),
-                     "budget": args.budget, "seeds": args.seeds,
-                     "k": args.k, "recipe_len": args.recipe_len,
-                     "model": args.model, "bank": args.bank,
-                     "delta_th": args.delta_th,
-                     "temperature": args.temperature, "jobs": args.jobs},
+    _write_manifest(out_dir / "manifest.json", args,
                     [str(out_dir / "report.csv"), str(out_dir / "report.json")],
                     time.perf_counter() - start)
     return 0

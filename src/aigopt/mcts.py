@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from .aig import Aig, stats
 from .qor import baseline_qor, qor, reward
@@ -38,6 +39,8 @@ class MctsConfig:
     n_actions: int = N_ACTIONS  # restrictable for synthetic-bandit oracles
 
     def __post_init__(self):
+        if not (math.isfinite(self.c_uct) and self.c_uct >= 0):
+            raise ValueError("c_uct must be finite and >= 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.recipe_len < 1:
@@ -142,19 +145,16 @@ class RecipeEvaluator:
     unbounded; otherwise it must allow at least one call.
     """
 
-    def __init__(self, root: Aig, recipe_len: int = DEFAULT_RECIPE_LEN,
-                 budget: int | None = None, measure_time: bool = False):
+    def __init__(self, root: Aig, budget: int | None = None,
+                 measure_time: bool = False):
         if budget is not None and budget < 1:
             raise ValueError("budget must be >= 1")
         self.root = root
-        self.recipe_len = recipe_len
         self.budget = budget
         self.measure_time = measure_time
         self.calls = 0
         self.cache_hits = 0
         self.trace: list[TraceRow] = []
-        self.best_adp: float | None = None
-        self.best_prefix: tuple[Action, ...] | None = None
         self._rewards: dict[tuple[Action, ...], float] = {}
         self.baseline = baseline_qor(root)
 
@@ -169,8 +169,6 @@ class RecipeEvaluator:
         return aig
 
     def terminal_reward(self, prefix: tuple[Action, ...]) -> float:
-        if len(prefix) != self.recipe_len:
-            raise ValueError("terminal reward requires a full-length recipe")
         if prefix in self._rewards:
             self.cache_hits += 1
             return self._rewards[prefix]
@@ -186,9 +184,6 @@ class RecipeEvaluator:
         self._rewards[prefix] = value
         self.trace.append(TraceRow(self.calls, str(Recipe(prefix)),
                                    s.node_count, s.depth, adp, value, wall))
-        if self.best_adp is None or adp < self.best_adp:
-            self.best_adp = adp
-            self.best_prefix = prefix
         self.calls += 1
         return value
 
@@ -202,26 +197,26 @@ class SearchResult:
 
 
 def search(evaluator: RecipeEvaluator, prefix: tuple[Action, ...],
-           tree: SearchNode, config: MctsConfig, policy=None,
+           tree: SearchNode, config: MctsConfig, prior=None,
            rng: random.Random | None = None) -> SearchResult:
     """Runs K select-expand-rollout-backup iterations below ``prefix``,
     growing ``tree`` (the node of that prefix).
 
     Returns the normalized root visit-count distribution and its argmax.
-    Deterministic given the seed. A policy must be attached whenever
-    alpha > 0.
+    Deterministic given the seed. ``prior(prefix)`` gives a new node's
+    action probabilities; it is required when alpha > 0, unused otherwise.
     """
-    if policy is None and config.alpha > 0.0:
-        raise ValueError("alpha > 0 requires a policy")
+    if prior is None and config.alpha > 0.0:
+        raise ValueError("alpha > 0 requires a policy prior")
     if len(prefix) >= config.recipe_len:
         raise ValueError("search requires a non-terminal prefix")
     if rng is None:
         rng = random.Random(config.seed)
     recipe_len = config.recipe_len
     n_actions = config.n_actions
-    want_prior = policy is not None and config.alpha > 0.0
+    want_prior = config.alpha > 0.0
     if want_prior and tree.prior is None:
-        tree.prior = list(policy.priors(evaluator.root, prefix))
+        tree.prior = list(prior(prefix))
     completed = 0
     exhausted = False
     for _ in range(config.iterations):
@@ -238,9 +233,8 @@ def search(evaluator: RecipeEvaluator, prefix: tuple[Action, ...],
                 leaf = leaf + (Action(action),)
                 unvisited = node.n[action] == 0
                 if action not in node.children:
-                    prior = (list(policy.priors(evaluator.root, leaf))
-                             if want_prior else None)
-                    node.children[action] = SearchNode(prior, n_actions)
+                    node.children[action] = SearchNode(
+                        list(prior(leaf)) if want_prior else None, n_actions)
                 if unvisited:
                     value = rollout(evaluator, leaf, rng, config)
                     break
@@ -265,46 +259,44 @@ class RecipeResult:
     final_qor: float
     best_qor: float
     best_recipe: Recipe
-    pis: list[list[float]]
-    budget_used: int
     exhausted: bool
-    trace: list[TraceRow] = field(repr=False)
-    cache_hits: int = 0
 
 
 def generate_recipe(evaluator: RecipeEvaluator, config: MctsConfig,
                     policy=None, collect=None) -> RecipeResult:
     """Builds a full recipe for ``evaluator.root`` by running a search at
     each level and committing the visit-count argmax, descending into the
-    committed child. The evaluator carries the synthesis budget.
+    committed child. The evaluator carries the synthesis budget, and its
+    ``calls``, ``cache_hits`` and ``trace`` are the record of the run.
 
-    Reports both the committed recipe's QoR and the best QoR seen across
-    all synthesized leaves. ``collect`` (if given) receives
-    (prefix, pi, root_node) after each level, for training data capture.
+    When alpha > 0 the policy encodes the circuit once, and each new tree
+    node gets ``policy.priors`` of that embedding. Reports the committed
+    recipe's QoR and the best QoR seen: the first trace row with the
+    smallest ADP proxy, unless the committed recipe is better. ``collect``
+    (if given) receives (prefix, pi) after each level, for training data.
     """
+    prior = None
+    if policy is not None and config.alpha > 0.0:
+        prior = partial(policy.priors, policy.encode_aig(evaluator.root))
     rng = random.Random(config.seed)
     node = SearchNode(n_actions=config.n_actions)
     prefix: tuple[Action, ...] = ()
-    pis: list[list[float]] = []
     exhausted = False
     for _ in range(config.recipe_len):
-        result = search(evaluator, prefix, node, config, policy, rng)
+        result = search(evaluator, prefix, node, config, prior, rng)
         exhausted = exhausted or result.exhausted
-        pis.append(result.pi)
         if collect is not None:
-            collect(prefix, result.pi, node)
+            collect(prefix, result.pi)
         action = result.action
         prefix = prefix + (action,)
         node = node.children.get(int(action)) or SearchNode(
             n_actions=config.n_actions)
     final = qor(evaluator.aig_for(prefix))
-    if evaluator.best_adp is not None and evaluator.best_adp <= final:
-        best = evaluator.best_adp
-        best_recipe = Recipe(evaluator.best_prefix)
+    best_row = min(evaluator.trace, key=lambda row: row.adp_proxy,
+                   default=None)
+    if best_row is not None and best_row.adp_proxy <= final:
+        best, best_recipe = best_row.adp_proxy, Recipe.parse(best_row.prefix)
     else:
-        best = final
-        best_recipe = Recipe(prefix)
+        best, best_recipe = final, Recipe(prefix)
     return RecipeResult(recipe=Recipe(prefix), final_qor=final, best_qor=best,
-                        best_recipe=best_recipe, pis=pis,
-                        budget_used=evaluator.calls, exhausted=exhausted,
-                        trace=evaluator.trace, cache_hits=evaluator.cache_hits)
+                        best_recipe=best_recipe, exhausted=exhausted)

@@ -22,10 +22,11 @@ class OodConfig:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if self.delta_th < 0 and not math.isinf(self.delta_th):
+        if not self.delta_th >= 0:  # +inf is valid: every label was 0
             raise ValueError("delta_th must be >= 0")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0 (0 selects the hard rule)")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be finite and >= 0 "
+                             "(0 selects the hard rule)")
 
 
 @dataclass

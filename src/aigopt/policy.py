@@ -138,9 +138,6 @@ class PolicyNetwork:
         self.params["fc2.W"] = self._he(rng, cfg.d_head, cfg.n_actions) \
             * cfg.final_layer_scale
         self.params["fc2.b"] = np.zeros(cfg.n_actions)
-        # (circuit, pooled embedding) of the last priors() input; an
-        # instance slot rather than a weak mapping so the network pickles.
-        self._last_haig: tuple[Aig, np.ndarray] | None = None
 
     @staticmethod
     def _he(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -229,14 +226,12 @@ class PolicyNetwork:
         cache["prefix"] = tuple(int(a) for a in prefix)
         return pi, cache
 
-    def priors(self, aig: Aig, prefix) -> np.ndarray:
-        """Inference-mode action probabilities, always a valid distribution.
-        The AIG branch of the last circuit is kept until the parameters
-        change (the AIG input is fixed within one search)."""
-        if self._last_haig is None or self._last_haig[0] is not aig:
-            h_aig, _ = self._gcn_forward(aig, training=False, update_stats=False)
-            self._last_haig = (aig, h_aig)
-        pi, _ = self._head(self._last_haig[1], prefix)
+    def priors(self, h_aig: np.ndarray, prefix) -> np.ndarray:
+        """Inference-mode action probabilities, always a valid distribution,
+        for the circuit embedding ``h_aig`` (from ``encode_aig``) after
+        ``prefix``. A search encodes its circuit once and passes the
+        embedding to every call."""
+        pi, _ = self._head(h_aig, prefix)
         return pi
 
     # -- backward ------------------------------------------------------------
@@ -312,10 +307,6 @@ class PolicyNetwork:
             grads[name] *= scale
         return total * scale, grads
 
-    def bump_version(self) -> None:
-        """Drops the kept AIG embedding; call after every parameter update."""
-        self._last_haig = None
-
 
 # ---------------------------------------------------------------------------
 # Replay buffer and training loop
@@ -326,7 +317,6 @@ class Experience:
     circuit_id: str
     prefix: tuple[Action, ...]
     pi: tuple[float, ...]
-    epoch_added: int
 
 
 class ReplayBuffer:
@@ -386,9 +376,6 @@ class TrainingConfig:
     epochs: int = 50
     learning_rate: float = 0.01
     k_iterations: int = 512
-    recipe_len: int = DEFAULT_RECIPE_LEN
-    c_uct: float = float(np.sqrt(2.0))
-    alpha: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -406,10 +393,12 @@ class TrainResult:
 
 def train(net: PolicyNetwork, circuits: list[Aig],
           cfg: TrainingConfig | None = None) -> TrainResult:
-    """Policy pre-training: each epoch runs guided level-by-level search on
-    every training circuit, stores the per-level root experience tuples in
-    the replay buffer, then takes one optimizer step on a uniformly sampled
-    mini-batch."""
+    """Policy pre-training: each epoch runs guided level-by-level search
+    (alpha 1, recipes of the network's ``recipe_len``) on every training
+    circuit, stores the per-level root experience tuples in the replay
+    buffer, then takes one optimizer step on a uniformly sampled
+    mini-batch. Each search encodes its circuit with the current
+    parameters."""
     cfg = cfg or TrainingConfig()
     if not circuits:
         raise ValueError("training requires at least one circuit")
@@ -418,27 +407,27 @@ def train(net: PolicyNetwork, circuits: list[Aig],
         raise ValueError("training circuits must have unique names")
     aigs_by_id = {c.name: c for c in circuits}
     n_tr = len(circuits)
-    buffer = ReplayBuffer(2 * cfg.recipe_len * n_tr)
+    recipe_len = net.config.recipe_len
+    buffer = ReplayBuffer(2 * recipe_len * n_tr)
     adam = Adam(net.params, lr=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         for ci, aig in enumerate(circuits):
             search_cfg = MctsConfig(
-                c_uct=cfg.c_uct, iterations=cfg.k_iterations, alpha=cfg.alpha,
+                iterations=cfg.k_iterations, alpha=1.0,
                 seed=cfg.seed * 1_000_003 + epoch * 1009 + ci,
-                recipe_len=cfg.recipe_len)
+                recipe_len=recipe_len)
 
-            def collect(prefix, pi, _node, _name=aig.name):
-                buffer.add(Experience(_name, tuple(prefix), tuple(pi), epoch))
+            def collect(prefix, pi, _name=aig.name):
+                buffer.add(Experience(_name, tuple(prefix), tuple(pi)))
 
-            generate_recipe(RecipeEvaluator(aig, recipe_len=cfg.recipe_len),
-                            search_cfg, policy=net, collect=collect)
-        batch = buffer.sample(cfg.recipe_len * n_tr, rng)
+            generate_recipe(RecipeEvaluator(aig), search_cfg, policy=net,
+                            collect=collect)
+        batch = buffer.sample(recipe_len * n_tr, rng)
         value, grads = net.loss_and_grads(batch, aigs_by_id, training=True,
                                           update_stats=True)
         adam.step(grads)
-        net.bump_version()
         losses.append(value)
     return TrainResult(losses=losses, buffer=buffer)
 

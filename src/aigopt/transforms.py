@@ -73,7 +73,8 @@ _CODE_ACTIONS = {code: action for action, code in _ACTION_CODES.items()}
 
 @dataclass(frozen=True)
 class Recipe:
-    """An ordered sequence of passes; never longer than the configured cap."""
+    """An ordered sequence of passes, of any length; ``apply_recipe``
+    rejects one longer than its cap."""
 
     actions: tuple[Action, ...]
 

@@ -138,7 +138,7 @@ def test_criterion_4_mcts_correctness():
     # (c) L=1 recipe search matches the exhaustive 7-action sweep
     g = random_dag(80, seed=4)
     sweep_best = min((qor(apply(g, Action(a))), a) for a in range(7))
-    res = generate_recipe(RecipeEvaluator(g, recipe_len=1),
+    res = generate_recipe(RecipeEvaluator(g),
                           MctsConfig(iterations=150, seed=2, recipe_len=1))
     assert res.recipe.actions == (Action(sweep_best[1]),)
     assert res.final_qor == sweep_best[0]
@@ -151,11 +151,12 @@ def test_criterion_5_alpha_zero_equivalence():
                                      gcn_layers=2, seed=0))
     for seed, circuit in ((0, ripple_adder(4)), (3, random_dag(70, seed=2))):
         cfg = MctsConfig(iterations=12, seed=seed, alpha=0.0)
-        bare = generate_recipe(RecipeEvaluator(circuit, budget=40), cfg)
-        guided = generate_recipe(RecipeEvaluator(circuit, budget=40), cfg,
-                                 policy=net)
+        bare_ev = RecipeEvaluator(circuit, budget=40)
+        guided_ev = RecipeEvaluator(circuit, budget=40)
+        bare = generate_recipe(bare_ev, cfg)
+        guided = generate_recipe(guided_ev, cfg, policy=net)
         assert bare.recipe == guided.recipe
-        assert bare.trace == guided.trace
+        assert bare_ev.trace == guided_ev.trace
     _report(5, "alpha=0 with a loaded policy is byte-identical to pure "
                "search under identical seeds")
 
@@ -169,11 +170,11 @@ def test_criterion_6_gradient_correctness():
     aigs = {g1.name: g1, g2.name: g2}
     rng = np.random.default_rng(0)
     batch = [
-        Experience(g1.name, (), tuple(rng.dirichlet(np.ones(7))), 0),
+        Experience(g1.name, (), tuple(rng.dirichlet(np.ones(7)))),
         Experience(g1.name, (Action.BALANCE, Action.RESUB),
-                   tuple(rng.dirichlet(np.ones(7))), 0),
+                   tuple(rng.dirichlet(np.ones(7)))),
         Experience(g2.name, (Action.REWRITE,),
-                   tuple(rng.dirichlet(np.ones(7))), 0),
+                   tuple(rng.dirichlet(np.ones(7)))),
     ]
     _, grads = net.loss_and_grads(batch, aigs, training=True)
     h = 1e-4
@@ -210,7 +211,7 @@ def test_criterion_7_training_sanity():
         net = PolicyNetwork(PolicyConfig(d_hidden=16, d_emb=8, d_head=16,
                                          seed=seed))
         for circuit in (ripple_adder(4), mux_tree(3)):
-            pi = net.priors(circuit, (Action.REWRITE,))
+            pi = net.priors(net.encode_aig(circuit), (Action.REWRITE,))
             ratios.append(float(pi.max() / pi.min()))
     assert max(ratios) < 1.2
 
@@ -230,7 +231,7 @@ def test_criterion_7_training_sanity():
         seen.add(prefix)
         target = np.zeros(7)
         target[rng.integers(0, 7)] = 1.0
-        batch.append(Experience(g.name, prefix, tuple(target), 0))
+        batch.append(Experience(g.name, prefix, tuple(target)))
     adam = Adam(net.params, lr=0.01)
     initial, _ = net.loss_and_grads(batch, aigs, training=True)
     for _ in range(200):

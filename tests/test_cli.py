@@ -376,3 +376,122 @@ def test_results_env_var(tmp_path, monkeypatch):
     assert run(["gen", "--family", "mux_tree", "--size", "2",
                 "--out", "sub/m.aag"]) == 0
     assert (tmp_path / "sub" / "m.aag").exists()
+
+
+def _gate_inputs(tmp_path):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    model, bank = _tiny_model_and_bank(tmp_path, circuit)
+    return circuit, model, bank
+
+
+@pytest.mark.parametrize("temperature", ["-1", "nan", "inf"])
+def test_calibrate_bad_temperature_exits_two(tmp_path, capsys, temperature):
+    circuit, model, bank = _gate_inputs(tmp_path)
+    validation = tmp_path / "val.csv"
+    validation.write_text(f"circuit,label\n{circuit},0\n")
+    out = tmp_path / "gate" / "ood.json"
+    capsys.readouterr()
+    assert run(["calibrate", "--model", str(model), "--bank", str(bank),
+                "--validation", str(validation), "--out", str(out),
+                f"--temperature={temperature}"]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "temperature" in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("gate", ['{"delta_th": NaN}',
+                                  '{"delta_th": -Infinity}',
+                                  '{"delta_th": 0.5, "temperature": NaN}'])
+def test_search_non_finite_gate_config_exits_two(tmp_path, capsys, gate):
+    circuit, model, bank = _gate_inputs(tmp_path)
+    ood_json = tmp_path / "ood.json"
+    ood_json.write_text(gate + "\n")
+    capsys.readouterr()
+    assert run(["search", "--aig", str(circuit), "--alpha", "auto",
+                "--model", str(model), "--bank", str(bank),
+                "--ood-config", str(ood_json), "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "delta_th" in err or "temperature" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("c_uct", ["nan", "-3", "inf"])
+def test_search_bad_c_uct_exits_two(tmp_path, capsys, c_uct):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    capsys.readouterr()
+    assert run(["search", "--aig", str(circuit), "--alpha", "0",
+                "--budget", "4", "--k", "2", f"--c-uct={c_uct}",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "c_uct" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--delta-th", "nan"], "delta_th"),
+    (["--delta-th=-inf"], "delta_th"),
+    (["--delta-th", "0.5", "--temperature", "nan"], "temperature"),
+])
+def test_bench_bad_gate_settings_exit_two(tmp_path, capsys, flags, field):
+    circuit, model, bank = _gate_inputs(tmp_path)
+    capsys.readouterr()
+    assert run(["bench", "--test", str(circuit), "--methods", "agent_ood",
+                "--model", str(model), "--bank", str(bank), *flags,
+                "--budget", "2", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert field in err
+    assert not (tmp_path / "r").exists()
+
+
+def _subparser_flags(command):
+    import argparse
+
+    from aigopt.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def test_manifests_record_every_flag(tmp_path):
+    circuit = tmp_path / "a.aag"
+    assert run(["gen", "--family", "ripple_adder", "--size", "3",
+                "--out", str(circuit)]) == 0
+    model, bank = tmp_path / "m.bin", tmp_path / "bank.csv"
+    assert run(["train", "--circuits", str(circuit), "--out", str(model),
+                "--bank", str(bank), "--epochs", "1", "--k", "2",
+                "--gcn-layers", "2", "--d-hidden", "8"]) == 0
+    validation = tmp_path / "val.csv"
+    validation.write_text(f"{circuit},0\n")
+    ood_json = tmp_path / "ood.json"
+    assert run(["calibrate", "--model", str(model), "--bank", str(bank),
+                "--validation", str(validation), "--out", str(ood_json),
+                "--report", str(tmp_path / "cal.csv")]) == 0
+    assert run(["search", "--aig", str(circuit), "--alpha", "auto",
+                "--model", str(model), "--bank", str(bank),
+                "--ood-config", str(ood_json), "--budget", "3", "--k", "2",
+                "--measure-time", "--out-dir", str(tmp_path / "s")]) == 0
+    assert run(["bench", "--test", str(circuit), "--methods", "pure_mcts",
+                "--budget", "2", "--k", "2",
+                "--out-dir", str(tmp_path / "b")]) == 0
+    manifests = {
+        "gen": tmp_path / "a.aag.manifest.json",
+        "train": tmp_path / "m.manifest.json",
+        "calibrate": tmp_path / "ood.manifest.json",
+        "search": tmp_path / "s" / "manifest.json",
+        "bench": tmp_path / "b" / "manifest.json",
+    }
+    for command, path in manifests.items():
+        manifest = json.loads(path.read_text())
+        assert manifest["command"] == command
+        assert set(manifest["config"]) == _subparser_flags(command), command
+    search = json.loads(manifests["search"].read_text())["config"]
+    assert search["alpha"] == "auto"
+    assert search["bank"] == str(bank)
+    assert search["ood_config"] == str(ood_json)
+    assert search["out_dir"] == str(tmp_path / "s")
+    assert search["measure_time"] is True

@@ -254,7 +254,7 @@ def test_visit_count_conservation_and_q_identity():
 
 def test_evaluator_memoizes_prefixes():
     g = ripple_adder(4)
-    ev = RecipeEvaluator(g, recipe_len=3)
+    ev = RecipeEvaluator(g)
     recipe = (Action.BALANCE, Action.REWRITE, Action.BALANCE)
     first = ev.terminal_reward(recipe)
     hits_before = ev.cache_hits
@@ -266,7 +266,7 @@ def test_evaluator_memoizes_prefixes():
 
 def test_evaluator_budget_enforced():
     g = ripple_adder(4)
-    ev = RecipeEvaluator(g, recipe_len=2, budget=2)
+    ev = RecipeEvaluator(g, budget=2)
     ev.terminal_reward((Action.BALANCE, Action.BALANCE))
     ev.terminal_reward((Action.BALANCE, Action.REWRITE))
     assert ev.exhausted
@@ -278,7 +278,7 @@ def test_evaluator_budget_enforced():
 
 def test_evaluator_trace_rows():
     g = ripple_adder(4)
-    ev = RecipeEvaluator(g, recipe_len=2, budget=5)
+    ev = RecipeEvaluator(g, budget=5)
     ev.terminal_reward((Action.BALANCE, Action.REWRITE))
     assert len(ev.trace) == 1
     row = ev.trace[0]
@@ -298,7 +298,7 @@ def test_l1_search_matches_exhaustive_sweep():
     base = baseline_qor(g)
     best_adp, best_action = min(sweep)
     cfg = MctsConfig(iterations=150, seed=9, recipe_len=1)
-    result = generate_recipe(RecipeEvaluator(g, recipe_len=1), cfg)
+    result = generate_recipe(RecipeEvaluator(g), cfg)
     assert result.recipe.actions == (Action(best_action),)
     assert result.final_qor == best_adp
     assert base > 0
@@ -307,19 +307,22 @@ def test_l1_search_matches_exhaustive_sweep():
 def test_generate_recipe_deterministic():
     g = ripple_adder(5)
     cfg = MctsConfig(iterations=12, seed=3)
-    first = generate_recipe(RecipeEvaluator(g, budget=40), cfg)
-    second = generate_recipe(RecipeEvaluator(g, budget=40), cfg)
+    first_ev = RecipeEvaluator(g, budget=40)
+    second_ev = RecipeEvaluator(g, budget=40)
+    first = generate_recipe(first_ev, cfg)
+    second = generate_recipe(second_ev, cfg)
     assert first.recipe == second.recipe
-    assert first.trace == second.trace
+    assert first_ev.trace == second_ev.trace
 
 
 def test_best_seen_never_worse_than_committed():
     for seed in range(5):
         g = random_dag(80, seed=seed)
         cfg = MctsConfig(iterations=10, seed=seed)
-        result = generate_recipe(RecipeEvaluator(g, budget=30), cfg)
+        evaluator = RecipeEvaluator(g, budget=30)
+        result = generate_recipe(evaluator, cfg)
         assert result.best_qor <= result.final_qor
-        assert result.budget_used <= 30
+        assert evaluator.calls <= 30
 
 
 def test_search_runs_no_pass_twice(pass_runs):
@@ -329,9 +332,9 @@ def test_search_runs_no_pass_twice(pass_runs):
     del pass_runs[:]  # the baseline's resyn2
     result = generate_recipe(evaluator, MctsConfig(iterations=12, seed=5))
     recipes = [tuple(Action.from_code(c) for c in row.prefix.split(","))
-               for row in result.trace] + [result.recipe.actions]
+               for row in evaluator.trace] + [result.recipe.actions]
     prefixes = {r[:i] for r in recipes for i in range(1, len(r) + 1)}
-    assert result.budget_used == 20
+    assert evaluator.calls == 20
     assert 0 < len(pass_runs) <= len(prefixes)
 
 
@@ -340,11 +343,47 @@ def test_alpha_zero_identical_with_and_without_policy():
 
     g = ripple_adder(4)
     cfg = MctsConfig(iterations=10, seed=7, alpha=0.0)
-    bare = generate_recipe(RecipeEvaluator(g, budget=25), cfg)
+    bare_ev = RecipeEvaluator(g, budget=25)
+    bare = generate_recipe(bare_ev, cfg)
     net = PolicyNetwork(PolicyConfig(d_hidden=8, seed=0))
-    guided = generate_recipe(RecipeEvaluator(g, budget=25), cfg, policy=net)
+    guided_ev = RecipeEvaluator(g, budget=25)
+    guided = generate_recipe(guided_ev, cfg, policy=net)
     assert bare.recipe == guided.recipe
-    assert bare.trace == guided.trace
+    assert bare_ev.trace == guided_ev.trace
+
+
+def test_guided_search_encodes_the_circuit_once(monkeypatch):
+    from aigopt import mcts
+    from aigopt.policy import PolicyConfig, PolicyNetwork
+
+    calls = {"encode_aig": 0, "priors": 0}
+    for name in calls:
+        def counted(self, *args, _name=name,
+                    _original=getattr(PolicyNetwork, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(PolicyNetwork, name, counted)
+    nodes = []
+
+    class CountedNode(mcts.SearchNode):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nodes.append(self)
+
+    monkeypatch.setattr(mcts, "SearchNode", CountedNode)
+    net = PolicyNetwork(PolicyConfig(d_hidden=8, seed=0))
+    g = ripple_adder(4)
+    generate_recipe(RecipeEvaluator(g, budget=25),
+                    MctsConfig(iterations=10, seed=7, alpha=1.0), policy=net)
+    assert calls["encode_aig"] == 1
+    with_prior = sum(node.prior is not None for node in nodes)
+    assert with_prior > 10
+    assert calls["priors"] == with_prior
+
+    calls.update(encode_aig=0, priors=0)
+    generate_recipe(RecipeEvaluator(g, budget=25),
+                    MctsConfig(iterations=10, seed=7, alpha=0.0), policy=net)
+    assert calls == {"encode_aig": 0, "priors": 0}
 
 
 def test_alpha_requires_policy():
@@ -357,7 +396,8 @@ def test_alpha_requires_policy():
 def test_budget_exhaustion_flagged():
     g = ripple_adder(5)
     cfg = MctsConfig(iterations=64, seed=0)
-    result = generate_recipe(RecipeEvaluator(g, budget=8), cfg)
+    evaluator = RecipeEvaluator(g, budget=8)
+    result = generate_recipe(evaluator, cfg)
     assert result.exhausted
-    assert result.budget_used == 8
+    assert evaluator.calls == 8
     assert len(result.recipe) == cfg.recipe_len

@@ -48,7 +48,8 @@ def test_forward_is_distribution():
     for _ in range(1000):
         length = rng.integers(0, 10)
         prefix = tuple(Action(int(a)) for a in rng.integers(0, 7, length))
-        pi = net.priors(g1 if rng.random() < 0.5 else g2, prefix)
+        g = g1 if rng.random() < 0.5 else g2
+        pi = net.priors(net.encode_aig(g), prefix)
         assert abs(pi.sum() - 1.0) < 1e-9
         assert np.all(pi > 0) and np.all(pi < 1)
 
@@ -59,16 +60,16 @@ def test_fresh_network_near_uniform():
     for seed in range(5):
         net = tiny_net(seed=seed)
         for g in (g1, g2):
-            pi = net.priors(g, (Action.BALANCE,))
+            pi = net.priors(net.encode_aig(g), (Action.BALANCE,))
             assert pi.max() / pi.min() < 1.2
 
 
 def test_softmax_shift_invariance():
     net = tiny_net()
     g1, _ = small_graphs()
-    pi_before = net.priors(g1, ())
+    pi_before = net.priors(net.encode_aig(g1), ())
     net.params["fc2.b"] = net.params["fc2.b"] + 7.5  # shift all logits
-    pi_after = net.priors(g1, ())
+    pi_after = net.priors(net.encode_aig(g1), ())
     assert np.allclose(pi_before, pi_after, atol=1e-12)
 
 
@@ -129,7 +130,7 @@ def test_priors_match_forward():
     g1, _ = small_graphs()
     prefix = (Action.BALANCE, Action.RESUB)
     full, _ = net._forward_full(g1, prefix, training=False)
-    assert np.array_equal(net.priors(g1, prefix), full)
+    assert np.array_equal(net.priors(net.encode_aig(g1), prefix), full)
 
 
 def test_priors_follow_the_circuit_when_ids_are_reused():
@@ -147,7 +148,7 @@ def test_priors_follow_the_circuit_when_ids_are_reused():
         fresh, _ = PolicyNetwork(cfg)._forward_full(circuit, prefix,
                                                      training=False)
         full, _ = net._forward_full(circuit, prefix, training=False)
-        pi = net.priors(circuit, prefix)
+        pi = net.priors(net.encode_aig(circuit), prefix)
         assert np.array_equal(pi, full), cycle
         assert np.array_equal(pi, fresh), cycle
         del circuit
@@ -189,10 +190,10 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
     batch = [
         Experience("g1", (Action.BALANCE, Action.RESUB),
-                   tuple(rng.dirichlet(np.ones(7))), 0),
-        Experience("g2", (), tuple(rng.dirichlet(np.ones(7))), 0),
+                   tuple(rng.dirichlet(np.ones(7)))),
+        Experience("g2", (), tuple(rng.dirichlet(np.ones(7)))),
         Experience("g2", (Action.REWRITE_Z,),
-                   tuple(rng.dirichlet(np.ones(7))), 0),
+                   tuple(rng.dirichlet(np.ones(7)))),
     ]
     _, grads = net.loss_and_grads(batch, aigs, training=True)
     h = 1e-4
@@ -220,7 +221,7 @@ def test_gradients_match_finite_differences():
 def test_buffer_capacity_and_fifo_eviction():
     buf = ReplayBuffer(capacity=3)
     for i in range(5):
-        buf.add(Experience(f"c{i}", (), (1.0,) * 7, i))
+        buf.add(Experience(f"c{i}", (), (1.0,) * 7))
     assert len(buf) == 3
     assert [e.circuit_id for e in buf] == ["c2", "c3", "c4"]
 
@@ -228,7 +229,7 @@ def test_buffer_capacity_and_fifo_eviction():
 def test_buffer_sampling():
     buf = ReplayBuffer(capacity=10)
     for i in range(10):
-        buf.add(Experience(f"c{i}", (), (1.0,) * 7, 0))
+        buf.add(Experience(f"c{i}", (), (1.0,) * 7))
     rng = np.random.default_rng(0)
     sample = buf.sample(4, rng)
     assert len(sample) == 4
@@ -254,7 +255,7 @@ def test_overfit_fixed_replay_buffer():
         pi[rng.integers(0, 7)] = 1.0
         return tuple(pi)
 
-    batch = [Experience(cid, prefix, one_hot(), 0)
+    batch = [Experience(cid, prefix, one_hot())
              for cid, prefix in (("g1", ()), ("g1", (Action.REWRITE,)),
                                  ("g2", ()), ("g2", (Action.BALANCE,)))]
     adam = Adam(net.params, lr=0.01)
@@ -277,7 +278,7 @@ def test_training_deterministic():
 
 def test_training_fills_buffer_and_respects_capacity():
     circuits = [ripple_adder(3), mux_tree(2)]
-    cfg = TrainingConfig(epochs=4, k_iterations=4, recipe_len=5, seed=0)
+    cfg = TrainingConfig(epochs=4, k_iterations=4, seed=0)
     net = tiny_net(seed=0, recipe_len=5)
     result = train(net, circuits, cfg)
     assert len(result.buffer) <= 2 * 5 * 2
@@ -306,8 +307,8 @@ def test_save_load_roundtrip(tmp_path):
     save(net, path)
     loaded = load(path)
     for prefix in ((), (Action.BALANCE,), (Action.RESUB, Action.REWRITE)):
-        a = net.priors(g1, prefix)
-        b = loaded.priors(g1, prefix)
+        a = net.priors(net.encode_aig(g1), prefix)
+        b = loaded.priors(loaded.encode_aig(g1), prefix)
         assert np.array_equal(a, b)  # bit-identical
 
 
