@@ -20,6 +20,7 @@ CONST_FALSE = 0  # literal of the constant-false node
 CONST_TRUE = 1
 
 EXHAUSTIVE_INPUT_LIMIT = 16  # 2^16 vectors is still sub-second
+NODE_FEATURES = 6  # columns of a node_features row
 
 
 class AigerError(ValueError):
@@ -163,6 +164,32 @@ class AigBuilder:
     def mux_(self, sel: int, hi: int, lo: int) -> int:
         return self.or_(self.and_(sel, hi), self.and_(lit_not(sel), lo))
 
+    def add_cones(self, roots, fanins, lits: dict[int, int]) -> None:
+        """Adds the cones of the nodes ``roots`` in post-order, pushing a
+        node's unbuilt fanins ``a`` then ``b`` (so ``b``'s cone comes first).
+        ``fanins(u)`` gives node ``u``'s fanin literals; ``lits`` maps node
+        indices to this builder's literals, holds the leaves and receives
+        every added node. Raises ValueError on a cycle."""
+        opened: set[int] = set()
+        for root in roots:
+            stack = [root]
+            while stack:
+                u = stack[-1]
+                if u in lits:
+                    stack.pop()
+                    continue
+                a, b = fanins(u)
+                need = [w >> 1 for w in (a, b) if w >> 1 not in lits]
+                if not need:
+                    lits[u] = self.and_(lits[a >> 1] ^ (a & 1),
+                                        lits[b >> 1] ^ (b & 1))
+                    stack.pop()
+                elif u in opened:  # fanins still unbuilt on a revisit
+                    raise ValueError(f"cycle through node {u}")
+                else:
+                    opened.add(u)
+                    stack.extend(need)
+
     def finish(self, outputs: list[int]) -> Aig:
         """Sweeps unreachable ANDs and returns the immutable graph."""
         first_and = 1 + self.n_inputs
@@ -223,7 +250,7 @@ def parse_aiger(data: bytes, name: str = "") -> Aig:
         inputs, outputs, gates = _parse_ascii_body(body, maxvar, n_in, n_out, n_and)
     else:
         inputs, outputs, gates = _parse_binary_body(body, maxvar, n_in, n_out, n_and)
-    return _build_from_gates(inputs, outputs, gates, maxvar, name)
+    return _build_from_gates(inputs, outputs, gates, name)
 
 
 def _parse_ascii_body(body: bytes, maxvar: int, n_in: int, n_out: int,
@@ -321,13 +348,11 @@ def _parse_binary_body(body: bytes, maxvar: int, n_in: int, n_out: int,
 
 
 def _build_from_gates(inputs: list[int], outputs: list[int],
-                      gates: list[tuple[int, int, int]], maxvar: int,
-                      name: str) -> Aig:
-    defined: dict[int, tuple[int, int] | None] = {0: None}
+                      gates: list[tuple[int, int, int]], name: str) -> Aig:
     pi_slot: dict[int, int] = {}
     for slot, lit in enumerate(inputs):
         var = lit >> 1
-        if var in defined or var in pi_slot:
+        if var in pi_slot:  # input literals are >= 2, so var 0 is not one
             raise AigerError(f"variable {var} defined twice")
         pi_slot[var] = slot
     gate_def: dict[int, tuple[int, int]] = {}
@@ -349,42 +374,14 @@ def _build_from_gates(inputs: list[int], outputs: list[int],
         check_ref(lit)
 
     builder = AigBuilder(len(inputs), name)
-    lit_map: dict[int, int] = {0: CONST_FALSE}
-    for var, slot in pi_slot.items():
-        lit_map[2 * var] = builder.pi(slot)
-
+    lits = {var: builder.pi(slot) for var, slot in pi_slot.items()}
+    lits[0] = CONST_FALSE
     # ASCII files may list gates out of order; build depth-first.
-    state: dict[int, int] = {}
-
-    def build_var(var: int) -> None:
-        stack = [var]
-        while stack:
-            v = stack[-1]
-            if 2 * v in lit_map:
-                stack.pop()
-                continue
-            if state.get(v) == 1:
-                rhs0, rhs1 = gate_def[v]
-                a = lit_map[2 * (rhs0 >> 1)] ^ (rhs0 & 1)
-                b = lit_map[2 * (rhs1 >> 1)] ^ (rhs1 & 1)
-                lit_map[2 * v] = builder.and_(a, b)
-                state[v] = 2
-                stack.pop()
-                continue
-            if state.get(v) == 2:
-                stack.pop()
-                continue
-            state[v] = 1
-            rhs0, rhs1 = gate_def[v]
-            for r in (rhs0 >> 1, rhs1 >> 1):
-                if 2 * r not in lit_map:
-                    if state.get(r) == 1:
-                        raise AigerError(f"cyclic gate definition at variable {r}")
-                    stack.append(r)
-
-    for var in gate_def:
-        build_var(var)
-    out_lits = [lit_map[2 * (o >> 1)] ^ (o & 1) for o in outputs]
+    try:
+        builder.add_cones(gate_def, gate_def.__getitem__, lits)
+    except ValueError as exc:
+        raise AigerError(f"cyclic gate definition: {exc}") from None
+    out_lits = [lits[o >> 1] ^ (o & 1) for o in outputs]
     return builder.finish(out_lits)
 
 
@@ -489,7 +486,7 @@ def node_features(aig: Aig) -> np.ndarray:
     level / depth, fanout / max fanout. Shape [n_nodes, 6].
     """
     n = aig.n_nodes
-    feats = np.zeros((n, 6), dtype=np.float64)
+    feats = np.zeros((n, NODE_FEATURES), dtype=np.float64)
     feats[0, 0] = 1.0
     for i in range(1, 1 + aig.n_inputs):
         feats[i, 1] = 1.0

@@ -181,18 +181,17 @@ class MethodSpec:
     alpha: float | None = 0.0
     temperature: float = 0.0
 
-    @classmethod
-    def pure_mcts(cls) -> "MethodSpec":
-        return cls("pure_mcts", alpha=0.0)
 
-    @classmethod
-    def agent_guided(cls) -> "MethodSpec":
-        return cls("agent_guided", alpha=1.0)
+# The prior exponent of each named method; None is the OOD-gated agent.
+METHODS = {"pure_mcts": 0.0, "agent_guided": 1.0, "agent_ood": None}
 
-    @classmethod
-    def agent_with_ood(cls, temperature: float = 0.0) -> "MethodSpec":
-        return cls(f"agent_ood_T{temperature:g}", alpha=None,
-                   temperature=temperature)
+
+def method(name: str, temperature: float = 0.0) -> MethodSpec:
+    """The spec of a method in ``METHODS``; KeyError on an unknown name."""
+    alpha = METHODS[name]
+    if alpha is None:  # the gated method is named after its temperature
+        return MethodSpec(f"agent_ood_T{temperature:g}", None, temperature)
+    return MethodSpec(name, alpha)
 
 
 @dataclass
@@ -307,6 +306,9 @@ def evaluate(methods: list[MethodSpec], circuits: dict[str, Aig],
         raise ValueError("seeds must not be empty")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    names = [spec.name for spec in methods]
+    if len(set(names)) != len(names):
+        raise ValueError(f"methods repeat a name: {','.join(names)}")
     base_cfg = mcts_cfg or MctsConfig(iterations=64)
     runs: list[tuple] = []
     for circuit_id in sorted(circuits):

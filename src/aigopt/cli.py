@@ -126,13 +126,7 @@ def cmd_search(args) -> int:
     net = policy_mod.load(args.model) if args.model else None
     if args.alpha == "auto":
         bank = ood_mod.EmbeddingBank.load_csv(args.bank)
-        gate = json.loads(Path(args.ood_config).read_text())
-        if not (isinstance(gate, dict)
-                and isinstance(gate.get("delta_th"), (int, float))
-                and isinstance(gate.get("temperature", 0.0), (int, float))):
-            raise ValueError(f"{args.ood_config}: OOD config needs a numeric "
-                             "delta_th (and optional temperature)")
-        cfg = ood_mod.OodConfig(gate["delta_th"], gate.get("temperature", 0.0))
+        cfg = ood_mod.OodConfig.load(args.ood_config)
         d_min, nearest = ood_mod.min_distance(net.encode_aig(aig), bank)
         alpha_value = ood_mod.alpha(d_min, cfg)
         print(f"ood gate: delta_min={d_min:.6f} (nearest {nearest}) "
@@ -234,8 +228,7 @@ def cmd_calibrate(args) -> int:
     gate = ood_mod.OodConfig(delta_th, args.temperature)
     out = _resolve_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(dataclasses.asdict(gate), indent=2,
-                              sort_keys=True) + "\n")
+    gate.save(out)
     outputs = [str(out)]
     if args.report:
         report_path = _resolve_path(args.report)
@@ -249,18 +242,12 @@ def cmd_calibrate(args) -> int:
 
 def cmd_bench(args) -> int:
     start = time.perf_counter()
-    methods = []
-    for name in args.methods.split(","):
-        name = name.strip()
-        if name == "pure_mcts":
-            methods.append(bench_mod.MethodSpec.pure_mcts())
-        elif name == "agent_guided":
-            methods.append(bench_mod.MethodSpec.agent_guided())
-        elif name == "agent_ood":
-            methods.append(bench_mod.MethodSpec.agent_with_ood(args.temperature))
-        else:
-            print(f"error: unknown method {name!r}", file=sys.stderr)
-            return 1
+    try:
+        methods = [bench_mod.method(name.strip(), args.temperature)
+                   for name in args.methods.split(",")]
+    except KeyError as exc:
+        print(f"error: unknown method {exc.args[0]!r}", file=sys.stderr)
+        return 1
     needs_model = any(m.alpha is None or m.alpha > 0 for m in methods)
     if needs_model and not args.model:
         print("error: agent methods require --model", file=sys.stderr)
@@ -360,7 +347,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--test", nargs="+", required=True,
                    help="test circuit AIGER paths")
     p.add_argument("--methods", default="pure_mcts,agent_guided",
-                   help="comma list: pure_mcts,agent_guided,agent_ood")
+                   help="comma list of " + ",".join(bench_mod.METHODS))
     p.add_argument("--model")
     p.add_argument("--bank")
     p.add_argument("--delta-th", type=float)

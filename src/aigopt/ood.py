@@ -10,14 +10,18 @@ smooths it into a sigmoid.
 from __future__ import annotations
 
 import csv
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 
 @dataclass
 class OodConfig:
+    """The calibrated gate; ``save`` and ``load`` own its JSON file, which
+    holds the number ``delta_th`` and the optional number ``temperature``."""
+
     delta_th: float
     temperature: float = 0.0
 
@@ -27,6 +31,23 @@ class OodConfig:
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError("temperature must be finite and >= 0 "
                              "(0 selects the hard rule)")
+
+    def save(self, path) -> None:
+        with open(path, "w") as fh:
+            fh.write(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+
+    @classmethod
+    def load(cls, path) -> "OodConfig":
+        """Reads a gate file; a field that is not a JSON number (true and
+        false are not) raises ValueError."""
+        with open(path) as fh:
+            gate = json.load(fh)
+        values = ((gate.get("delta_th"), gate.get("temperature", 0.0))
+                  if isinstance(gate, dict) else (None,))
+        if not all(type(v) in (int, float) for v in values):
+            raise ValueError(f"{path}: OOD config needs a numeric delta_th "
+                             "(and optional temperature)")
+        return cls(*values)
 
 
 @dataclass

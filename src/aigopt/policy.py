@@ -13,13 +13,12 @@ import hashlib
 import json
 import math
 import struct
-import weakref
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .aig import Aig, node_features
+from .aig import NODE_FEATURES, Aig, node_features
 from .mcts import MctsConfig, RecipeEvaluator, generate_recipe
 from .transforms import DEFAULT_RECIPE_LEN, N_ACTIONS, Action
 
@@ -50,6 +49,9 @@ class PolicyConfig:
         for name in ("gcn_layers", "d_hidden", "d_emb", "d_head"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name, width in (("d_in", NODE_FEATURES), ("n_actions", N_ACTIONS)):
+            if getattr(self, name) != width:
+                raise ValueError(f"{name} must be {width}")
 
 
 def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
@@ -95,16 +97,9 @@ def normalized_adjacency(aig: Aig) -> sp.csr_matrix:
     return (d @ adj @ d).tocsr()
 
 
-# Adjacency and node features per circuit; an entry dies with its circuit.
-_GRAPHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _graph(aig: Aig) -> tuple[sp.csr_matrix, np.ndarray]:
-    hit = _GRAPHS.get(aig)
-    if hit is None:
-        hit = (normalized_adjacency(aig), node_features(aig))
-        _GRAPHS[aig] = hit
-    return hit
+    """The encoder's input: (normalized adjacency, node features)."""
+    return normalized_adjacency(aig), node_features(aig)
 
 
 class PolicyNetwork:
@@ -145,10 +140,9 @@ class PolicyNetwork:
 
     # -- forward -------------------------------------------------------------
 
-    def _gcn_forward(self, aig: Aig, training: bool, update_stats: bool):
+    def _gcn_forward(self, graph, training: bool, update_stats: bool = False):
         cfg = self.config
-        adj, feats = _graph(aig)
-        h = feats
+        adj, h = graph
         cache = {"adj": adj, "layers": []}
         for k in range(cfg.gcn_layers):
             m = adj @ h
@@ -172,8 +166,7 @@ class PolicyNetwork:
             bn_out = self.params[f"gcn{k}.gamma"] * zhat + self.params[f"gcn{k}.beta"]
             h_next = _leaky(bn_out, cfg.leaky_slope)
             cache["layers"].append(
-                {"h_in": h, "m": m, "zhat": zhat, "inv_std": inv_std,
-                 "bn_out": bn_out, "training": training})
+                {"m": m, "zhat": zhat, "inv_std": inv_std, "bn_out": bn_out})
             h = h_next
         h_mean = h.mean(axis=0)
         h_max_idx = h.argmax(axis=0)
@@ -183,9 +176,10 @@ class PolicyNetwork:
         h_aig = np.concatenate([h_mean, h_max])
         return h_aig, cache
 
-    def encode_aig(self, aig: Aig, training: bool = False) -> np.ndarray:
-        """Pooled graph embedding (mean-pool ++ max-pool), length 2*d_hidden."""
-        h_aig, _ = self._gcn_forward(aig, training, update_stats=False)
+    def encode_aig(self, aig: Aig) -> np.ndarray:
+        """Pooled graph embedding (mean-pool ++ max-pool), length 2*d_hidden;
+        batch norm uses the running statistics."""
+        h_aig, _ = self._gcn_forward(_graph(aig), training=False)
         return h_aig
 
     def encode_recipe(self, prefix) -> np.ndarray:
@@ -218,9 +212,9 @@ class PolicyNetwork:
         pi = _softmax(a2 @ self.params["fc2.W"] + self.params["fc2.b"])
         return pi, {"a0": a0, "z1": z1, "a1": a1, "z2": z2, "a2": a2}
 
-    def _forward_full(self, aig: Aig, prefix, training: bool,
+    def _forward_full(self, graph, prefix, training: bool,
                       update_stats: bool = False):
-        h_aig, gcn_cache = self._gcn_forward(aig, training, update_stats)
+        h_aig, gcn_cache = self._gcn_forward(graph, training, update_stats)
         pi, cache = self._head(h_aig, prefix)
         cache["gcn"] = gcn_cache
         cache["prefix"] = tuple(int(a) for a in prefix)
@@ -271,14 +265,11 @@ class PolicyNetwork:
             grads[f"gcn{k}.gamma"] += (dbn_out * zhat).sum(axis=0)
             grads[f"gcn{k}.beta"] += dbn_out.sum(axis=0)
             dzhat = dbn_out * gamma
-            if layer["training"]:
-                m_rows = zhat.shape[0]
-                dz = (layer["inv_std"] / m_rows) * (
-                    m_rows * dzhat
-                    - dzhat.sum(axis=0)
-                    - zhat * (dzhat * zhat).sum(axis=0))
-            else:
-                dz = dzhat * layer["inv_std"]
+            m_rows = zhat.shape[0]
+            dz = (layer["inv_std"] / m_rows) * (
+                m_rows * dzhat
+                - dzhat.sum(axis=0)
+                - zhat * (dzhat * zhat).sum(axis=0))
             grads[f"gcn{k}.W"] += layer["m"].T @ dz
             grads[f"gcn{k}.b"] += dz.sum(axis=0)
             dm = dz @ self.params[f"gcn{k}.W"].T
@@ -289,16 +280,17 @@ class PolicyNetwork:
         return {name: np.zeros_like(p) for name, p in self.params.items()}
 
     def loss_and_grads(self, batch, aigs_by_id: dict[str, Aig],
-                       training: bool = True,
                        update_stats: bool = False) -> tuple[float, dict]:
         """Mean cross-entropy and mean gradients over (circuit_id, prefix,
-        pi_mcts) experience tuples."""
+        pi_mcts) experience tuples, with batch norm in training mode; each
+        circuit's graph is built once per call."""
+        graphs = {cid: _graph(aigs_by_id[cid])
+                  for cid in {exp.circuit_id for exp in batch}}
         grads = self.zero_grads()
         total = 0.0
         for exp in batch:
-            aig = aigs_by_id[exp.circuit_id]
-            pi, cache = self._forward_full(aig, exp.prefix, training,
-                                           update_stats)
+            pi, cache = self._forward_full(graphs[exp.circuit_id], exp.prefix,
+                                           True, update_stats)
             target = np.asarray(exp.pi, dtype=np.float64)
             total += loss(pi, target)
             self._backward(cache, pi - target, grads)
@@ -425,8 +417,7 @@ def train(net: PolicyNetwork, circuits: list[Aig],
             generate_recipe(RecipeEvaluator(aig), search_cfg, policy=net,
                             collect=collect)
         batch = buffer.sample(recipe_len * n_tr, rng)
-        value, grads = net.loss_and_grads(batch, aigs_by_id, training=True,
-                                          update_stats=True)
+        value, grads = net.loss_and_grads(batch, aigs_by_id, update_stats=True)
         adam.step(grads)
         losses.append(value)
     return TrainResult(losses=losses, buffer=buffer)

@@ -120,7 +120,7 @@ class _Net:
         self.n_inputs = aig.n_inputs
         self.f0 = [0] * n
         self.f1 = [0] * n
-        self.ref = [0] * n
+        self.ref = list(aig.fanout_counts)
         self.level = list(aig.levels)
         self.repl: dict[int, int] = {}
         self.strash: dict[tuple[int, int], int] = {}
@@ -131,10 +131,6 @@ class _Net:
             self.f0[v] = a
             self.f1[v] = b
             self.strash[(a, b)] = 2 * v
-            self.ref[a >> 1] += 1
-            self.ref[b >> 1] += 1
-        for o in self.outputs:
-            self.ref[o >> 1] += 1
         self.orig_nodes = n
 
     # -- resolution ---------------------------------------------------------
@@ -259,40 +255,16 @@ class _Net:
     # -- final rebuild --------------------------------------------------------
 
     def to_aig(self, name: str) -> Aig:
+        """Rebuilds the live graph through the replacements: the cones of
+        the resolved outputs, added by ``AigBuilder.add_cones``."""
         builder = AigBuilder(self.n_inputs, name)
-        memo: dict[int, int] = {0: 0}
-        for i in range(self.n_inputs):
-            memo[1 + i] = builder.pi(i)
-
-        expanding: dict[int, bool] = {}
-
-        def emit(target: int) -> None:
-            stack = [target]
-            while stack:
-                u = stack[-1]
-                if u in memo:
-                    stack.pop()
-                    continue
-                a = self.resolve(self.f0[u])
-                b = self.resolve(self.f1[u])
-                need = [w >> 1 for w in (a, b) if (w >> 1) not in memo]
-                if not need:
-                    memo[u] = builder.and_(memo[a >> 1] ^ (a & 1),
-                                           memo[b >> 1] ^ (b & 1))
-                    expanding.pop(u, None)
-                    stack.pop()
-                    continue
-                if expanding.get(u):  # children still unresolved on revisit
-                    raise RuntimeError("cyclic replacement detected")
-                expanding[u] = True
-                stack.extend(need)
-
-        out_lits = []
-        for o in self.outputs:
-            r = self.resolve(o)
-            emit(r >> 1)
-            out_lits.append(memo[r >> 1] ^ (r & 1))
-        return builder.finish(out_lits)
+        # the constant and the inputs keep their literals
+        lits = {v: 2 * v for v in range(1 + self.n_inputs)}
+        outs = [self.resolve(o) for o in self.outputs]
+        f0, f1, resolve = self.f0, self.f1, self.resolve
+        builder.add_cones([r >> 1 for r in outs],
+                          lambda u: (resolve(f0[u]), resolve(f1[u])), lits)
+        return builder.finish([lits[r >> 1] ^ (r & 1) for r in outs])
 
 
 def _sweep(aig: Aig, zero_cost: bool, visit) -> Aig:

@@ -13,11 +13,11 @@ import pytest
 
 from aigopt.aig import equivalent, stats
 from aigopt.bench import (
-    MethodSpec,
     array_multiplier,
     comparator,
     evaluate,
     geomean_reduction,
+    method,
     mux_tree,
     random_dag,
     ripple_adder,
@@ -176,7 +176,7 @@ def test_criterion_6_gradient_correctness():
         Experience(g2.name, (Action.REWRITE,),
                    tuple(rng.dirichlet(np.ones(7)))),
     ]
-    _, grads = net.loss_and_grads(batch, aigs, training=True)
+    _, grads = net.loss_and_grads(batch, aigs)
     h = 1e-4
     checked = 0
     groups = set()
@@ -187,9 +187,9 @@ def test_criterion_6_gradient_correctness():
         for idx in picks:
             orig = flat[idx]
             flat[idx] = orig + h
-            lp, _ = net.loss_and_grads(batch, aigs, training=True)
+            lp, _ = net.loss_and_grads(batch, aigs)
             flat[idx] = orig - h
-            lm, _ = net.loss_and_grads(batch, aigs, training=True)
+            lm, _ = net.loss_and_grads(batch, aigs)
             flat[idx] = orig
             fd = (lp - lm) / (2 * h)
             analytic = grads[name].ravel()[idx]
@@ -233,11 +233,11 @@ def test_criterion_7_training_sanity():
         target[rng.integers(0, 7)] = 1.0
         batch.append(Experience(g.name, prefix, tuple(target)))
     adam = Adam(net.params, lr=0.01)
-    initial, _ = net.loss_and_grads(batch, aigs, training=True)
+    initial, _ = net.loss_and_grads(batch, aigs)
     for _ in range(200):
-        _, grads = net.loss_and_grads(batch, aigs, training=True)
+        _, grads = net.loss_and_grads(batch, aigs)
         adam.step(grads)
-    final, _ = net.loss_and_grads(batch, aigs, training=True)
+    final, _ = net.loss_and_grads(batch, aigs)
     assert final < 0.1 * initial, (initial, final)
     _report(7, f"fresh policy max/min ratio {max(ratios):.3f} < 1.2; fixed-"
                f"replay loss {initial:.3f} -> {final:.4f} (< 0.1x)")
@@ -310,7 +310,7 @@ def test_criterion_9_end_to_end_trend(trained_agent):
     # Trend: per seed, agent-guided geomean reduction on the in-family test
     # set must be at least the pure-MCTS geomean in >= 4/5 seeds.
     seeds = (0, 1, 2, 3, 4)
-    report = evaluate([MethodSpec.pure_mcts(), MethodSpec.agent_guided()],
+    report = evaluate([method("pure_mcts"), method("agent_guided")],
                       {c.name: c for c in tests_in}, policy=net, budget=100,
                       seeds=seeds, mcts_cfg=MctsConfig(iterations=48))
     per_seed = {}

@@ -101,10 +101,30 @@ def test_latches_rejected():
     b"aag 1 1 0 1 0\n2\n",            # truncated: missing output line
     b"aag 2 1 0 1 1\n2\n4\n4 2 6\n",  # literal 6 never defined
     b"aag 2 1 0 1 1\n2\n8\n4 2 2\n",  # output var out of range
+    b"aag 3 1 0 1 2\n2\n4\n4 2 6\n6 2 4\n",  # gates 4 and 6 feed each other
 ])
 def test_malformed_inputs_rejected(data):
     with pytest.raises(AigerError):
         parse_aiger(data)
+
+
+def test_add_cones_rejects_a_cycle():
+    builder = AigBuilder(1)
+    lits = {0: 0, 1: builder.pi(0)}
+    fanins = {2: (2, 6), 3: (2, 4)}  # nodes 2 and 3 feed each other
+    with pytest.raises(ValueError, match="cycle"):
+        builder.add_cones([2], fanins.__getitem__, lits)
+
+
+def test_add_cones_builds_fanins_first_in_post_order():
+    builder = AigBuilder(2)
+    lits = {0: 0, 1: builder.pi(0), 2: builder.pi(1)}
+    # node 5 = 3 & !4, node 3 = x0 & x1, node 4 = x0 & !x1
+    fanins = {3: (2, 4), 4: (2, 5), 5: (6, 9)}
+    builder.add_cones([5], fanins.__getitem__, lits)
+    # b's cone (node 4) is added before a's (node 3), then their root
+    assert lits == {0: 0, 1: 2, 2: 4, 4: 6, 3: 8, 5: 10}
+    assert builder._ands == [(2, 5), (2, 4), (7, 8)]
 
 
 def _binary_aiger(aig):

@@ -12,6 +12,7 @@ from aigopt.bench import (
     evaluate,
     generate_circuit,
     geomean_reduction,
+    method,
     mux_tree,
     random_dag,
     resolve_alpha,
@@ -107,7 +108,7 @@ def tiny_eval():
     circuits = {"add4": ripple_adder(4), "rd": random_dag(60, seed=1)}
     net = PolicyNetwork(PolicyConfig(d_hidden=8, d_emb=4, d_head=8,
                                      gcn_layers=2, seed=0))
-    methods = [MethodSpec.pure_mcts(), MethodSpec("agent_alpha0", alpha=0.0)]
+    methods = [method("pure_mcts"), MethodSpec("agent_alpha0", alpha=0.0)]
     report = evaluate(methods, circuits, policy=net, budget=20,
                       seeds=(0, 1), mcts_cfg=MctsConfig(iterations=8))
     return circuits, net, methods, report
@@ -173,7 +174,7 @@ def test_resolve_alpha_gate():
     train = ripple_adder(4)
     bank = EmbeddingBank()
     bank.add("train", net.encode_aig(train))
-    spec = MethodSpec.agent_with_ood()
+    spec = method("agent_ood")
     same = resolve_alpha(spec, train, net, bank, delta_th=1e-6)
     assert same == 1.0  # distance 0 to itself
     far = resolve_alpha(spec, array_multiplier(3), net, bank, delta_th=1e-9)
@@ -184,7 +185,7 @@ def test_resolve_alpha_gate():
 
 def test_parallel_jobs_match_serial():
     circuits = {"add3": ripple_adder(3), "mux2": mux_tree(2)}
-    methods = [MethodSpec.pure_mcts()]
+    methods = [method("pure_mcts")]
     serial = evaluate(methods, circuits, budget=10, seeds=(0,),
                       mcts_cfg=MctsConfig(iterations=6))
     parallel = evaluate(methods, circuits, budget=10, seeds=(0,),
@@ -203,8 +204,8 @@ def test_grid_runs_each_pass_once(pass_runs):
                                      gcn_layers=2, seed=0))
     bank = EmbeddingBank()
     bank.add("add3", net.encode_aig(circuits["add3"]))
-    methods = [MethodSpec.pure_mcts(), MethodSpec.agent_guided(),
-               MethodSpec.agent_with_ood()]
+    methods = [method("pure_mcts"), method("agent_guided"),
+               method("agent_ood")]
     evaluate(methods, circuits, policy=net, bank=bank, delta_th=1.0,
              budget=6, seeds=(0, 1), mcts_cfg=MctsConfig(iterations=4))
     assert len(set(pass_runs)) == len(pass_runs)
@@ -219,7 +220,7 @@ def test_timed_runs_start_cold(pass_runs):
     # runs the same passes whatever ran before it; untimed, a repeated
     # grid is all memo hits.
     circuits = {"add3": ripple_adder(3), "mux2": mux_tree(2)}
-    methods = [MethodSpec.pure_mcts()]
+    methods = [method("pure_mcts")]
     cfg = MctsConfig(iterations=4)
     for measure_time, repeat_runs in ((True, None), (False, 0)):
         counts = []

@@ -495,3 +495,62 @@ def test_manifests_record_every_flag(tmp_path):
     assert search["ood_config"] == str(ood_json)
     assert search["out_dir"] == str(tmp_path / "s")
     assert search["measure_time"] is True
+
+
+def test_search_cyclic_aiger_exits_two(tmp_path, capsys):
+    circuit = tmp_path / "cyclic.aag"
+    circuit.write_bytes(b"aag 3 1 0 1 2\n2\n4\n4 2 6\n6 2 4\n")
+    assert run(["search", "--aig", str(circuit), "--alpha", "0",
+                "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "cyclic" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("gate", ['{"delta_th": 0.5, "temperature": true}',
+                                  '{"delta_th": true}'],
+                         ids=["bool_temperature", "bool_delta_th"])
+def test_search_boolean_gate_field_exits_two(tmp_path, capsys, gate):
+    circuit, model, bank = _gate_inputs(tmp_path)
+    ood_json = tmp_path / "ood.json"
+    ood_json.write_text(gate + "\n")
+    capsys.readouterr()
+    assert run(["search", "--aig", str(circuit), "--alpha", "auto",
+                "--model", str(model), "--bank", str(bank),
+                "--ood-config", str(ood_json), "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "numeric delta_th" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_bench_repeated_method_exits_two(tmp_path, capsys):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    capsys.readouterr()
+    assert run(["bench", "--test", str(circuit),
+                "--methods", "pure_mcts,pure_mcts", "--budget", "3",
+                "--k", "2", "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "pure_mcts" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("field, value", [("n_actions", 5), ("d_in", 7)])
+def test_model_with_foreign_width_exits_two(tmp_path, capsys, field, value):
+    from aigopt.policy import PolicyConfig, PolicyNetwork, save
+
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    cfg = PolicyConfig(d_hidden=8, d_emb=4, d_head=8, gcn_layers=2)
+    object.__setattr__(cfg, field, value)  # past the config's own check
+    model = tmp_path / "model.bin"
+    save(PolicyNetwork(cfg), model)
+    capsys.readouterr()
+    assert run(["search", "--aig", str(circuit), "--alpha", "1",
+                "--model", str(model), "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert field in err
+    assert not (tmp_path / "r").exists()

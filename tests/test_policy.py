@@ -13,6 +13,7 @@ from aigopt.policy import (
     PolicyNetwork,
     ReplayBuffer,
     TrainingConfig,
+    _graph,
     load,
     loss,
     save,
@@ -129,7 +130,7 @@ def test_priors_match_forward():
     net = tiny_net()
     g1, _ = small_graphs()
     prefix = (Action.BALANCE, Action.RESUB)
-    full, _ = net._forward_full(g1, prefix, training=False)
+    full, _ = net._forward_full(_graph(g1), prefix, training=False)
     assert np.array_equal(net.priors(net.encode_aig(g1), prefix), full)
 
 
@@ -145,9 +146,9 @@ def test_priors_follow_the_circuit_when_ids_are_reused():
     for cycle in range(120):
         family, top = families[cycle % len(families)]
         circuit = generate_circuit(family, 1 + (cycle // 4) % top, seed=cycle)
-        fresh, _ = PolicyNetwork(cfg)._forward_full(circuit, prefix,
+        fresh, _ = PolicyNetwork(cfg)._forward_full(_graph(circuit), prefix,
                                                      training=False)
-        full, _ = net._forward_full(circuit, prefix, training=False)
+        full, _ = net._forward_full(_graph(circuit), prefix, training=False)
         pi = net.priors(net.encode_aig(circuit), prefix)
         assert np.array_equal(pi, full), cycle
         assert np.array_equal(pi, fresh), cycle
@@ -195,7 +196,7 @@ def test_gradients_match_finite_differences():
         Experience("g2", (Action.REWRITE_Z,),
                    tuple(rng.dirichlet(np.ones(7)))),
     ]
-    _, grads = net.loss_and_grads(batch, aigs, training=True)
+    _, grads = net.loss_and_grads(batch, aigs)
     h = 1e-4
     for name, p in net.params.items():
         flat = p.ravel()
@@ -204,9 +205,9 @@ def test_gradients_match_finite_differences():
         for idx in picks:
             orig = flat[idx]
             flat[idx] = orig + h
-            lp, _ = net.loss_and_grads(batch, aigs, training=True)
+            lp, _ = net.loss_and_grads(batch, aigs)
             flat[idx] = orig - h
-            lm, _ = net.loss_and_grads(batch, aigs, training=True)
+            lm, _ = net.loss_and_grads(batch, aigs)
             flat[idx] = orig
             fd = (lp - lm) / (2 * h)
             analytic = grads[name].ravel()[idx]
@@ -259,11 +260,11 @@ def test_overfit_fixed_replay_buffer():
              for cid, prefix in (("g1", ()), ("g1", (Action.REWRITE,)),
                                  ("g2", ()), ("g2", (Action.BALANCE,)))]
     adam = Adam(net.params, lr=0.01)
-    initial, _ = net.loss_and_grads(batch, aigs, training=True)
+    initial, _ = net.loss_and_grads(batch, aigs)
     for _ in range(200):
-        _, grads = net.loss_and_grads(batch, aigs, training=True)
+        _, grads = net.loss_and_grads(batch, aigs)
         adam.step(grads)
-    final, _ = net.loss_and_grads(batch, aigs, training=True)
+    final, _ = net.loss_and_grads(batch, aigs)
     assert final < 0.1 * initial
 
 
