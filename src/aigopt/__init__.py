@@ -10,7 +10,6 @@ from .aig import (
     equivalent,
     node_features,
     parse_aiger,
-    simulate,
     stats,
     write_aiger,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "equivalent",
     "node_features",
     "parse_aiger",
-    "simulate",
     "stats",
     "write_aiger",
 ]

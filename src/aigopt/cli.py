@@ -177,7 +177,7 @@ def cmd_train(args) -> int:
     cfg = policy_mod.TrainingConfig(
         epochs=args.epochs, learning_rate=args.lr, k_iterations=args.k,
         seed=args.seed)
-    result = policy_mod.train(net, circuits, cfg)
+    losses = policy_mod.train(net, circuits, cfg)
     out = _resolve_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     policy_mod.save(net, out)
@@ -186,7 +186,7 @@ def cmd_train(args) -> int:
     with open(loss_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("epoch", "loss"))
-        for epoch, value in enumerate(result.losses):
+        for epoch, value in enumerate(losses):
             writer.writerow((epoch, repr(value)))
     outputs.append(str(loss_path))
     if args.bank:
@@ -197,7 +197,7 @@ def cmd_train(args) -> int:
         bank.save_csv(bank_path)
         outputs.append(str(bank_path))
     print(f"trained on {len(circuits)} circuits for {args.epochs} epochs; "
-          f"loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f}")
+          f"loss {losses[0]:.4f} -> {losses[-1]:.4f}")
     _write_manifest(out.with_suffix(".manifest.json"), args, outputs,
                     time.perf_counter() - start)
     return 0

@@ -50,24 +50,6 @@ def tt_depends_on(tt: int, v: int, n_vars: int) -> bool:
     return cofactor0(tt, v, n_vars) != cofactor1(tt, v, n_vars)
 
 
-def cube_tt(cube: Cube, n_vars: int) -> int:
-    pos, neg = cube
-    tt = tt_ones(n_vars)
-    for v in range(n_vars):
-        if pos >> v & 1:
-            tt &= var_mask(v, n_vars)
-        if neg >> v & 1:
-            tt &= ~var_mask(v, n_vars)
-    return tt & tt_ones(n_vars)
-
-
-def cover_tt(cover: list[Cube], n_vars: int) -> int:
-    tt = 0
-    for cube in cover:
-        tt |= cube_tt(cube, n_vars)
-    return tt
-
-
 def isop(on: int, dc: int, n_vars: int) -> list[Cube]:
     """Minato-Morreale irredundant cover of a (possibly incompletely
     specified) function: covers all of ``on`` and stays inside ``on | dc``.
@@ -177,14 +159,3 @@ def factor(cover: list[Cube]) -> Expr:
     ]
     return _balanced("or", cube_exprs)
 
-
-def expr_tt(expr: Expr, n_vars: int) -> int:
-    tag = expr[0]
-    if tag == "const":
-        return tt_ones(n_vars) if expr[1] else 0
-    if tag == "var":
-        mask = var_mask(expr[1], n_vars)
-        return (~mask & tt_ones(n_vars)) if expr[2] else mask
-    left = expr_tt(expr[1], n_vars)
-    right = expr_tt(expr[2], n_vars)
-    return (left & right) if tag == "and" else (left | right)

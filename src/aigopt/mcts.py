@@ -36,7 +36,6 @@ class MctsConfig:
     alpha: float = 0.0
     seed: int = 0
     recipe_len: int = DEFAULT_RECIPE_LEN
-    n_actions: int = N_ACTIONS  # restrictable for synthetic-bandit oracles
 
     def __post_init__(self):
         if not (math.isfinite(self.c_uct) and self.c_uct >= 0):
@@ -47,17 +46,14 @@ class MctsConfig:
             raise ValueError("recipe_len must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if not 1 <= self.n_actions <= N_ACTIONS:
-            raise ValueError(f"n_actions must lie in [1, {N_ACTIONS}]")
 
 
 class SearchNode:
     __slots__ = ("n", "w", "prior", "children")
 
-    def __init__(self, prior: list[float] | None = None,
-                 n_actions: int = N_ACTIONS):
-        self.n = [0] * n_actions
-        self.w = [0.0] * n_actions
+    def __init__(self, prior: list[float] | None = None):
+        self.n = [0] * N_ACTIONS
+        self.w = [0.0] * N_ACTIONS
         self.prior = prior
         self.children: dict[int, SearchNode] = {}
 
@@ -120,7 +116,7 @@ def rollout(evaluator, prefix: tuple[Action, ...], rng: random.Random,
     returns the terminal reward; a full-length prefix evaluates directly."""
     full = tuple(prefix)
     while len(full) < config.recipe_len:
-        full = full + (Action(rng.randrange(config.n_actions)),)
+        full = full + (Action(rng.randrange(N_ACTIONS)),)
     return evaluator.terminal_reward(full)
 
 
@@ -213,7 +209,6 @@ def search(evaluator: RecipeEvaluator, prefix: tuple[Action, ...],
     if rng is None:
         rng = random.Random(config.seed)
     recipe_len = config.recipe_len
-    n_actions = config.n_actions
     want_prior = config.alpha > 0.0
     if want_prior and tree.prior is None:
         tree.prior = list(prior(prefix))
@@ -234,7 +229,7 @@ def search(evaluator: RecipeEvaluator, prefix: tuple[Action, ...],
                 unvisited = node.n[action] == 0
                 if action not in node.children:
                     node.children[action] = SearchNode(
-                        list(prior(leaf)) if want_prior else None, n_actions)
+                        list(prior(leaf)) if want_prior else None)
                 if unvisited:
                     value = rollout(evaluator, leaf, rng, config)
                     break
@@ -246,10 +241,10 @@ def search(evaluator: RecipeEvaluator, prefix: tuple[Action, ...],
         completed += 1
     total = tree.total_visits()
     if total > 0:
-        pi = [tree.n[a] / total for a in range(n_actions)]
+        pi = [tree.n[a] / total for a in range(N_ACTIONS)]
     else:
-        pi = [1.0 / n_actions] * n_actions
-    best = max(range(n_actions), key=lambda a: (pi[a], -a))
+        pi = [1.0 / N_ACTIONS] * N_ACTIONS
+    best = max(range(N_ACTIONS), key=lambda a: (pi[a], -a))
     return SearchResult(pi, Action(best), completed, exhausted)
 
 
@@ -279,7 +274,7 @@ def generate_recipe(evaluator: RecipeEvaluator, config: MctsConfig,
     if policy is not None and config.alpha > 0.0:
         prior = partial(policy.priors, policy.encode_aig(evaluator.root))
     rng = random.Random(config.seed)
-    node = SearchNode(n_actions=config.n_actions)
+    node = SearchNode()
     prefix: tuple[Action, ...] = ()
     exhausted = False
     for _ in range(config.recipe_len):
@@ -289,8 +284,7 @@ def generate_recipe(evaluator: RecipeEvaluator, config: MctsConfig,
             collect(prefix, result.pi)
         action = result.action
         prefix = prefix + (action,)
-        node = node.children.get(int(action)) or SearchNode(
-            n_actions=config.n_actions)
+        node = node.children.get(int(action)) or SearchNode()
     final = qor(evaluator.aig_for(prefix))
     best_row = min(evaluator.trace, key=lambda row: row.adp_proxy,
                    default=None)

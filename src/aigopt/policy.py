@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +24,16 @@ from .transforms import DEFAULT_RECIPE_LEN, N_ACTIONS, Action
 
 LOG_FLOOR = 1e-12
 
+# The encoder and head design is fixed: batch norm with this epsilon and
+# running-statistics momentum, leaky ReLU with this negative slope, and a
+# final layer scaled down at initialization so the fresh policy is
+# near-uniform. The input width is NODE_FEATURES and the output width is
+# N_ACTIONS.
+_BN_EPS = 1e-5
+_BN_MOMENTUM = 0.1
+_LEAKY_SLOPE = 0.01
+_FINAL_LAYER_SCALE = 0.01
+
 
 class ModelFormatError(ValueError):
     """Model file is not readable: bad magic, version, checksum, or a header
@@ -33,33 +43,24 @@ class ModelFormatError(ValueError):
 @dataclass(frozen=True)
 class PolicyConfig:
     gcn_layers: int = 3
-    d_in: int = 6
     d_hidden: int = 32
     d_emb: int = 16
     d_head: int = 32
-    n_actions: int = N_ACTIONS
     recipe_len: int = DEFAULT_RECIPE_LEN
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
-    leaky_slope: float = 0.01
-    final_layer_scale: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
         for name in ("gcn_layers", "d_hidden", "d_emb", "d_head"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name, width in (("d_in", NODE_FEATURES), ("n_actions", N_ACTIONS)):
-            if getattr(self, name) != width:
-                raise ValueError(f"{name} must be {width}")
 
 
-def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, x, slope * x)
+def _leaky(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0, x, _LEAKY_SLOPE * x)
 
 
-def _leaky_grad(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, 1.0, slope)
+def _leaky_grad(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0, 1.0, _LEAKY_SLOPE)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -111,7 +112,7 @@ class PolicyNetwork:
         rng = np.random.default_rng(cfg.seed)
         self.params: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}
-        d_prev = cfg.d_in
+        d_prev = NODE_FEATURES
         for k in range(cfg.gcn_layers):
             self.params[f"gcn{k}.W"] = self._he(rng, d_prev, cfg.d_hidden)
             self.params[f"gcn{k}.b"] = np.zeros(cfg.d_hidden)
@@ -121,7 +122,7 @@ class PolicyNetwork:
             self.buffers[f"gcn{k}.running_var"] = np.ones(cfg.d_hidden)
             d_prev = cfg.d_hidden
         self.params["act_emb"] = rng.normal(
-            0.0, np.sqrt(2.0 / cfg.d_emb), size=(cfg.n_actions, cfg.d_emb))
+            0.0, np.sqrt(2.0 / cfg.d_emb), size=(N_ACTIONS, cfg.d_emb))
         self.params["pos_emb"] = rng.normal(
             0.0, np.sqrt(2.0 / cfg.d_emb), size=(cfg.recipe_len, cfg.d_emb))
         d_cat = 2 * cfg.d_hidden + cfg.d_emb
@@ -129,10 +130,9 @@ class PolicyNetwork:
         self.params["fc0.b"] = np.zeros(cfg.d_head)
         self.params["fc1.W"] = self._he(rng, cfg.d_head, cfg.d_head)
         self.params["fc1.b"] = np.zeros(cfg.d_head)
-        # Final layer scaled down so the fresh policy is near-uniform.
-        self.params["fc2.W"] = self._he(rng, cfg.d_head, cfg.n_actions) \
-            * cfg.final_layer_scale
-        self.params["fc2.b"] = np.zeros(cfg.n_actions)
+        self.params["fc2.W"] = self._he(rng, cfg.d_head, N_ACTIONS) \
+            * _FINAL_LAYER_SCALE
+        self.params["fc2.b"] = np.zeros(N_ACTIONS)
 
     @staticmethod
     def _he(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -151,20 +151,19 @@ class PolicyNetwork:
                 mu = z.mean(axis=0)
                 var = z.var(axis=0)
                 if update_stats:
-                    mom = cfg.bn_momentum
                     rm = self.buffers[f"gcn{k}.running_mean"]
                     rv = self.buffers[f"gcn{k}.running_var"]
-                    rm *= 1.0 - mom
-                    rm += mom * mu
-                    rv *= 1.0 - mom
-                    rv += mom * var
+                    rm *= 1.0 - _BN_MOMENTUM
+                    rm += _BN_MOMENTUM * mu
+                    rv *= 1.0 - _BN_MOMENTUM
+                    rv += _BN_MOMENTUM * var
             else:
                 mu = self.buffers[f"gcn{k}.running_mean"]
                 var = self.buffers[f"gcn{k}.running_var"]
-            inv_std = 1.0 / np.sqrt(var + cfg.bn_eps)
+            inv_std = 1.0 / np.sqrt(var + _BN_EPS)
             zhat = (z - mu) * inv_std
             bn_out = self.params[f"gcn{k}.gamma"] * zhat + self.params[f"gcn{k}.beta"]
-            h_next = _leaky(bn_out, cfg.leaky_slope)
+            h_next = _leaky(bn_out)
             cache["layers"].append(
                 {"m": m, "zhat": zhat, "inv_std": inv_std, "bn_out": bn_out})
             h = h_next
@@ -203,12 +202,11 @@ class PolicyNetwork:
         """Fused head over (AIG embedding ++ recipe embedding): two leaky
         layers and a softmax. Returns the probabilities and the activations
         the backward pass needs."""
-        cfg = self.config
         a0 = np.concatenate([h_aig, self.encode_recipe(prefix)])
         z1 = a0 @ self.params["fc0.W"] + self.params["fc0.b"]
-        a1 = _leaky(z1, cfg.leaky_slope)
+        a1 = _leaky(z1)
         z2 = a1 @ self.params["fc1.W"] + self.params["fc1.b"]
-        a2 = _leaky(z2, cfg.leaky_slope)
+        a2 = _leaky(z2)
         pi = _softmax(a2 @ self.params["fc2.W"] + self.params["fc2.b"])
         return pi, {"a0": a0, "z1": z1, "a1": a1, "z2": z2, "a2": a2}
 
@@ -238,11 +236,11 @@ class PolicyNetwork:
         grads["fc2.W"] += np.outer(a2, dlogits)
         grads["fc2.b"] += dlogits
         da2 = self.params["fc2.W"] @ dlogits
-        dz2 = da2 * _leaky_grad(z2, cfg.leaky_slope)
+        dz2 = da2 * _leaky_grad(z2)
         grads["fc1.W"] += np.outer(a1, dz2)
         grads["fc1.b"] += dz2
         da1 = self.params["fc1.W"] @ dz2
-        dz1 = da1 * _leaky_grad(z1, cfg.leaky_slope)
+        dz1 = da1 * _leaky_grad(z1)
         grads["fc0.W"] += np.outer(a0, dz1)
         grads["fc0.b"] += dz1
         da0 = self.params["fc0.W"] @ dz1
@@ -259,7 +257,7 @@ class PolicyNetwork:
         adj = gcn["adj"]
         for k in reversed(range(cfg.gcn_layers)):
             layer = gcn["layers"][k]
-            dbn_out = dh * _leaky_grad(layer["bn_out"], cfg.leaky_slope)
+            dbn_out = dh * _leaky_grad(layer["bn_out"])
             gamma = self.params[f"gcn{k}.gamma"]
             zhat = layer["zhat"]
             grads[f"gcn{k}.gamma"] += (dbn_out * zhat).sum(axis=0)
@@ -331,12 +329,6 @@ class ReplayBuffer:
         idx = rng.choice(len(self._items), size=count, replace=False)
         return [self._items[i] for i in sorted(idx)]
 
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self):
-        return iter(self._items)
-
 
 class Adam:
     def __init__(self, params: dict[str, np.ndarray], lr: float = 0.01,
@@ -377,20 +369,14 @@ class TrainingConfig:
             raise ValueError("learning_rate must be finite and > 0")
 
 
-@dataclass
-class TrainResult:
-    losses: list[float]
-    buffer: ReplayBuffer = field(repr=False)
-
-
 def train(net: PolicyNetwork, circuits: list[Aig],
-          cfg: TrainingConfig | None = None) -> TrainResult:
+          cfg: TrainingConfig | None = None) -> list[float]:
     """Policy pre-training: each epoch runs guided level-by-level search
     (alpha 1, recipes of the network's ``recipe_len``) on every training
     circuit, stores the per-level root experience tuples in the replay
     buffer, then takes one optimizer step on a uniformly sampled
     mini-batch. Each search encodes its circuit with the current
-    parameters."""
+    parameters. Returns the mini-batch loss of each epoch."""
     cfg = cfg or TrainingConfig()
     if not circuits:
         raise ValueError("training requires at least one circuit")
@@ -420,7 +406,7 @@ def train(net: PolicyNetwork, circuits: list[Aig],
         value, grads = net.loss_and_grads(batch, aigs_by_id, update_stats=True)
         adam.step(grads)
         losses.append(value)
-    return TrainResult(losses=losses, buffer=buffer)
+    return losses
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +414,7 @@ def train(net: PolicyNetwork, circuits: list[Aig],
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"AIGPOLCY"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _GROUPS = ("params", "buffers")  # array groups, in blob order
 
 

@@ -190,7 +190,8 @@ class _Net:
     def _deref(self, v: int) -> tuple[dict[int, int], list[int]]:
         """Counts of deleting ``v``, without changing ``ref``: ``counts``
         maps each node whose count would change to its new count, and
-        ``freed`` lists the ANDs that would drop to zero (``v``'s MFFC)."""
+        ``freed`` lists the ANDs that would drop to zero (``v``'s MFFC).
+        A visit walks this once and passes it to each of its trials."""
         ref, f0, f1 = self.ref, self.f0, self.f1
         counts: dict[int, int] = {}
         freed: list[int] = []
@@ -205,18 +206,22 @@ class _Net:
                 stack.append(f1[u] >> 1)
         return counts, freed
 
-    def try_replace(self, v: int, expr: Expr, leaves: list[int], min_gain: int,
+    def try_replace(self, v: int, deref: tuple[dict[int, int], list[int]],
+                    expr: Expr, leaves: list[int], min_gain: int,
                     root_compl: bool = False, commit: bool = True) -> int | None:
-        """Attempts to replace node ``v`` by ``expr`` over ``leaves``.
+        """Attempts to replace node ``v`` by ``expr`` over ``leaves``;
+        ``deref`` is ``_deref(v)`` under the current counts, and is not
+        changed.
 
         The gain is the ANDs freed by deleting ``v`` less the ANDs that the
         new root's references bring to a positive count. Returns it when it
         is at least ``min_gain``, committing unless ``commit`` is false;
         otherwise returns None. Only a commit changes the net.
         """
-        counts, freed = self._deref(v)
+        counts, freed = deref
         if len(freed) < min_gain:
             return None
+        counts = dict(counts)
         ref, f0, f1 = self.ref, self.f0, self.f1
         n = len(f0)
         key = (f0[v], f1[v])
@@ -247,10 +252,6 @@ class _Net:
         if own_key:
             self.strash[key] = 2 * v
         return gain
-
-    def mffc(self, v: int) -> set[int]:
-        """AND nodes freed if ``v`` were deleted (including ``v``)."""
-        return set(self._deref(v)[1])
 
     # -- final rebuild --------------------------------------------------------
 
@@ -482,17 +483,18 @@ def rewrite(aig: Aig, zero_cost: bool = False) -> Aig:
     cuts = _enumerate_cuts(aig)
 
     def visit(net: _Net, v: int, min_gain: int) -> None:
+        deref = net._deref(v)
         best_cut = None
         limit = min_gain  # ties go to the earlier cut
         for leaves, tt in cuts[v][1:]:
             expr = _resynth(tt, len(leaves))
             lits = [net.resolve(2 * w) for w in leaves]
-            gain = net.try_replace(v, expr, lits, limit, commit=False)
+            gain = net.try_replace(v, deref, expr, lits, limit, commit=False)
             if gain is not None:
                 limit = gain + 1
                 best_cut = (expr, lits)
         if best_cut is not None:
-            net.try_replace(v, best_cut[0], best_cut[1], min_gain)
+            net.try_replace(v, deref, best_cut[0], best_cut[1], min_gain)
 
     return _sweep(aig, zero_cost, visit)
 
@@ -553,7 +555,8 @@ def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
     rule."""
 
     def visit(net: _Net, v: int, min_gain: int) -> None:
-        mffc = net.mffc(v)
+        deref = net._deref(v)
+        mffc = set(deref[1])
         cone = set()
         leaves: list[int] = []
         queue = [v]
@@ -580,7 +583,7 @@ def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
                 or memo[v] is None:
             return
         expr = _resynth(memo[v], len(leaves))
-        net.try_replace(v, expr, [2 * w for w in leaves], min_gain)
+        net.try_replace(v, deref, expr, [2 * w for w in leaves], min_gain)
 
     return _sweep(aig, zero_cost, visit)
 
@@ -710,7 +713,8 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
         if _cone_tt(net, [v], memo, ones) > _CONE_BUDGET or memo[v] is None:
             return
         tt_v = memo[v]
-        mffc = net.mffc(v)
+        deref = net._deref(v)
+        mffc = set(deref[1])
         side = _side_divisors(net, v, interior, leaves, mffc, fanout_lists)
         seen_lits: set[int] = set()
         divisor_lits: list[int] = []
@@ -741,8 +745,8 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
         singles = [([r if t == tt_v else r ^ 1], False)
                    for r, t in divisors if t == tt_v or t == comp_v]
         for lits, compl in chain(singles, _resub_pairs(divisors, tt_v, ones)):
-            if net.try_replace(v, _RESUB_EXPRS[len(lits)], lits, min_gain,
-                               root_compl=compl) is not None:
+            if net.try_replace(v, deref, _RESUB_EXPRS[len(lits)], lits,
+                               min_gain, root_compl=compl) is not None:
                 return
 
     return _sweep(aig, zero_cost, visit)

@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from aigopt.aig import Aig, AigBuilder
+from aigopt.aig import Aig, AigBuilder, _output_words
 from aigopt.bench import (
     array_multiplier,
     comparator,
@@ -30,6 +31,20 @@ def build_random_network(seed: int, n_inputs: int, n_ops: int,
             lits.append(bld.xor_(a, b))
     outs = [l for l in lits[-n_outputs:] if l >> 1 != 0] or [lits[-1]]
     return bld.finish(outs)
+
+
+def simulate(aig: Aig, vectors) -> np.ndarray:
+    """Evaluates ``aig`` on a [n_vectors x n_inputs] 0/1 matrix with the
+    bit-parallel evaluator behind ``equivalent``: bit j of an input's word is
+    its value in vector j. Returns a [n_vectors x n_outputs] uint8 matrix."""
+    vectors = np.asarray(vectors)
+    assert vectors.ndim == 2 and vectors.shape[1] == aig.n_inputs
+    n = vectors.shape[0]
+    words = [sum(int(bit) << j for j, bit in enumerate(column))
+             for column in vectors.T]
+    outs = _output_words(aig, words, n)
+    return np.array([[w >> j & 1 for w in outs] for j in range(n)],
+                    dtype=np.uint8).reshape(n, aig.n_outputs)
 
 
 def small_circuits() -> list[Aig]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aigopt import transforms
-from aigopt.aig import simulate, write_aiger
+from aigopt.aig import write_aiger
 from aigopt.bench import (
     MethodSpec,
     array_multiplier,
@@ -21,6 +21,7 @@ from aigopt.bench import (
 from aigopt.mcts import MctsConfig
 from aigopt.ood import EmbeddingBank
 from aigopt.policy import PolicyConfig, PolicyNetwork
+from conftest import simulate
 
 
 def _int_cols(bits: np.ndarray) -> np.ndarray:

@@ -537,20 +537,39 @@ def test_bench_repeated_method_exits_two(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("field, value", [("n_actions", 5), ("d_in", 7)])
-def test_model_with_foreign_width_exits_two(tmp_path, capsys, field, value):
-    from aigopt.policy import PolicyConfig, PolicyNetwork, save
-
+@pytest.mark.parametrize("key, value", [
+    ("d_in", 7), ("n_actions", 5), ("bn_eps", -1.0), ("bn_momentum", 2),
+    ("leaky_slope", "a"), ("final_layer_scale", 1)])
+def test_model_with_removed_config_key_exits_two(tmp_path, capsys, key,
+                                                 value):
+    # Each key names a constant of the network design, not a config field.
     circuit = tmp_path / "a.aag"
     run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
-    cfg = PolicyConfig(d_hidden=8, d_emb=4, d_head=8, gcn_layers=2)
-    object.__setattr__(cfg, field, value)  # past the config's own check
-    model = tmp_path / "model.bin"
-    save(PolicyNetwork(cfg), model)
+    model, _ = _tiny_model_and_bank(tmp_path, circuit)
+    _edit_model_header(model, lambda h: h["config"].update({key: value}))
     capsys.readouterr()
     assert run(["search", "--aig", str(circuit), "--alpha", "1",
                 "--model", str(model), "--budget", "4", "--k", "2",
                 "--out-dir", str(tmp_path / "r")]) == 2
     err = _assert_one_line_error(capsys)
-    assert field in err
+    assert key in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_model_of_format_version_one_exits_two(tmp_path, capsys):
+    import hashlib
+    import struct
+
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    model, _ = _tiny_model_and_bank(tmp_path, circuit)
+    body = bytearray(model.read_bytes()[:-32])
+    struct.pack_into("<I", body, 8, 1)  # the version follows the magic
+    model.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    capsys.readouterr()
+    assert run(["search", "--aig", str(circuit), "--alpha", "1",
+                "--model", str(model), "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "unsupported model format version 1" in err
     assert not (tmp_path / "r").exists()

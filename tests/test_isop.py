@@ -1,15 +1,41 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aigopt.isop import (
-    cover_tt,
-    cube_tt,
-    expr_tt,
-    factor,
-    isop,
-    tt_ones,
-    var_mask,
-)
+from aigopt.isop import factor, isop, tt_ones, var_mask
+
+# Truth-table oracles of cubes, covers and factored expressions, in the
+# representation of aigopt.isop: the tests below check isop and factor
+# against them.
+
+
+def cube_tt(cube, n_vars):
+    pos, neg = cube
+    tt = tt_ones(n_vars)
+    for v in range(n_vars):
+        if pos >> v & 1:
+            tt &= var_mask(v, n_vars)
+        if neg >> v & 1:
+            tt &= ~var_mask(v, n_vars)
+    return tt & tt_ones(n_vars)
+
+
+def cover_tt(cover, n_vars):
+    tt = 0
+    for cube in cover:
+        tt |= cube_tt(cube, n_vars)
+    return tt
+
+
+def expr_tt(expr, n_vars):
+    tag = expr[0]
+    if tag == "const":
+        return tt_ones(n_vars) if expr[1] else 0
+    if tag == "var":
+        mask = var_mask(expr[1], n_vars)
+        return (~mask & tt_ones(n_vars)) if expr[2] else mask
+    left = expr_tt(expr[1], n_vars)
+    right = expr_tt(expr[2], n_vars)
+    return (left & right) if tag == "and" else (left | right)
 
 
 def test_var_masks():

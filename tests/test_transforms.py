@@ -424,9 +424,10 @@ def test_pass_outputs_match_parent_digest(fresh_memo):
 
 def _rewrite_trials():
     """Walks a zero-cost rewrite over the ``_PASS_DIGESTS`` circuits and
-    ``random_dag(400, seed=0)``, yielding ``(net, v, expr, leaves)`` for
-    every cut of every visited AND; after its cuts, each AND takes its best
-    replacement, so later trials see replaced nodes and negative counts."""
+    ``random_dag(400, seed=0)``, yielding ``(net, v, deref, expr, leaves)``
+    for every cut of every visited AND, where ``deref`` is the visit's one
+    ``_deref(v)``; after its cuts, each AND takes its best replacement, so
+    later trials see replaced nodes and negative counts."""
     from aigopt.bench import (array_multiplier, comparator, mux_tree,
                               random_dag, ripple_adder)
 
@@ -437,16 +438,18 @@ def _rewrite_trials():
         for v in range(g.first_and(), g.n_nodes):
             if net.ref[v] == 0 or v in net.repl:
                 continue
+            deref = net._deref(v)
             best = None
             for leaves, tt in cuts[v][1:]:
                 expr = transforms._resynth(tt, len(leaves))
                 lits = [net.resolve(2 * w) for w in leaves]
-                yield net, v, expr, lits
-                gain = net.try_replace(v, expr, lits, 0, commit=False)
+                yield net, v, deref, expr, lits
+                gain = net.try_replace(v, deref, expr, lits, 0, commit=False)
                 if gain is not None and (best is None or gain > best[0]):
                     best = (gain, expr, lits)
             if best is not None:
-                assert net.try_replace(v, best[1], best[2], 0) == best[0]
+                assert net.try_replace(v, deref, best[1], best[2], 0) \
+                    == best[0]
 
 
 def _net_state(net):
@@ -456,16 +459,19 @@ def _net_state(net):
 
 def test_trial_replacement_leaves_net_unchanged():
     # Neither a trial that does not commit nor one whose gain falls short
-    # of min_gain may leave a trace: counts, appended nodes, strash entries.
+    # of min_gain may leave a trace: counts, appended nodes, strash entries,
+    # or the shared deref walk that the visit's other trials reuse.
     trials = negative_counts = 0
-    for net, v, expr, lits in _rewrite_trials():
+    for net, v, deref, expr, lits in _rewrite_trials():
         negative_counts += min(net.ref) < 0
         before = _net_state(net)
-        gain = net.try_replace(v, expr, lits, 0, commit=False)
-        assert _net_state(net) == before
+        walk = (dict(deref[0]), list(deref[1]))
+        assert walk == net._deref(v)
+        gain = net.try_replace(v, deref, expr, lits, 0, commit=False)
+        assert _net_state(net) == before and deref == walk
         short_of = 0 if gain is None else gain + 1
-        assert net.try_replace(v, expr, lits, short_of) is None
-        assert _net_state(net) == before
+        assert net.try_replace(v, deref, expr, lits, short_of) is None
+        assert _net_state(net) == before and deref == walk
         trials += 1
     assert trials > 2000 and negative_counts > 0
 
@@ -477,13 +483,13 @@ def test_committed_gain_equals_live_count_drop():
                    if net.ref[u] > 0)
 
     commits = negative = 0
-    for net, v, expr, lits in _rewrite_trials():
+    for net, v, deref, expr, lits in _rewrite_trials():
         trial = copy.copy(net)
         trial.f0, trial.f1 = list(net.f0), list(net.f1)
         trial.ref, trial.level = list(net.ref), list(net.level)
         trial.strash, trial.repl = dict(net.strash), dict(net.repl)
         before = live(trial)
-        gain = trial.try_replace(v, expr, lits, -len(net.ref))
+        gain = trial.try_replace(v, deref, expr, lits, -len(net.ref))
         if gain is None:
             continue  # the candidate is v itself
         assert before - live(trial) == gain
