@@ -21,6 +21,7 @@ CONST_FALSE = 0  # literal of the constant-false node
 CONST_TRUE = 1
 
 EXHAUSTIVE_INPUT_LIMIT = 16  # 2^16 vectors is still sub-second
+MAX_AIGER_VAR = 1 << 24  # largest header M the reader accepts
 NODE_FEATURES = 6  # columns of a node_features row
 
 
@@ -226,7 +227,8 @@ class AigBuilder:
 def parse_aiger(data: bytes, name: str = "") -> Aig:
     """Parses ASCII ("aag") or binary ("aig") AIGER bytes.
 
-    Latches are rejected (sequential unsupported). The result is structurally
+    Latches are rejected (sequential unsupported), and so is a header M above
+    MAX_AIGER_VAR, before the body is read. The result is structurally
     hashed and its nodes are in topological order; unreachable gates are
     dropped.
     """
@@ -246,6 +248,9 @@ def parse_aiger(data: bytes, name: str = "") -> Aig:
         raise AigerError("negative counts in header")
     if n_latch > 0:
         raise SequentialCircuitError("sequential unsupported (latch count > 0)")
+    if maxvar > MAX_AIGER_VAR:
+        raise AigerError(f"header maxvar {maxvar} exceeds the limit of "
+                         f"{MAX_AIGER_VAR}")
     body = data[newline + 1:]
     if header[0] == b"aag":
         inputs, outputs, gates = _parse_ascii_body(body, maxvar, n_in, n_out, n_and)

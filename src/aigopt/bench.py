@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .aig import Aig, AigBuilder
-from .mcts import MctsConfig, RecipeEvaluator, generate_recipe
+from .mcts import MctsConfig, RecipeEvaluator, TraceRow, generate_recipe
 from .ood import EmbeddingBank, OodConfig, alpha as ood_alpha, min_distance
 from .transforms import _MEMO
 
@@ -33,10 +33,10 @@ def _full_adder(bld: AigBuilder, a: int, b: int, c: int) -> tuple[int, int]:
     return s, carry
 
 
-def ripple_adder(n_bits: int, name: str = "") -> Aig:
+def ripple_adder(n_bits: int) -> Aig:
     if not 1 <= n_bits <= MAX_INPUTS // 2:
         raise ValueError(f"ripple_adder size must be in [1, {MAX_INPUTS // 2}]")
-    bld = AigBuilder(2 * n_bits, name or f"ripple_adder_{n_bits}")
+    bld = AigBuilder(2 * n_bits, f"ripple_adder_{n_bits}")
     a = [bld.pi(i) for i in range(n_bits)]
     b = [bld.pi(n_bits + i) for i in range(n_bits)]
     carry = bld.const(False)
@@ -47,11 +47,11 @@ def ripple_adder(n_bits: int, name: str = "") -> Aig:
     return bld.finish(sums + [carry])
 
 
-def array_multiplier(n_bits: int, name: str = "") -> Aig:
+def array_multiplier(n_bits: int) -> Aig:
     if not 1 <= n_bits <= MAX_INPUTS // 2:
         raise ValueError(
             f"array_multiplier size must be in [1, {MAX_INPUTS // 2}]")
-    bld = AigBuilder(2 * n_bits, name or f"array_multiplier_{n_bits}")
+    bld = AigBuilder(2 * n_bits, f"array_multiplier_{n_bits}")
     a = [bld.pi(i) for i in range(n_bits)]
     b = [bld.pi(n_bits + i) for i in range(n_bits)]
     acc = [bld.const(False)] * (2 * n_bits)
@@ -68,7 +68,7 @@ def array_multiplier(n_bits: int, name: str = "") -> Aig:
     return bld.finish(acc)
 
 
-def comparator(n_bits: int, name: str = "") -> Aig:
+def comparator(n_bits: int) -> Aig:
     """Outputs [a < b, a == b] over two n-bit unsigned operands.
 
     Built the schoolbook way: a < b when some bit has a_i < b_i while all
@@ -76,7 +76,7 @@ def comparator(n_bits: int, name: str = "") -> Aig:
     scratch (so the passes have sharing to recover)."""
     if not 1 <= n_bits <= MAX_INPUTS // 2:
         raise ValueError(f"comparator size must be in [1, {MAX_INPUTS // 2}]")
-    bld = AigBuilder(2 * n_bits, name or f"comparator_{n_bits}")
+    bld = AigBuilder(2 * n_bits, f"comparator_{n_bits}")
     a = [bld.pi(i) for i in range(n_bits)]
     b = [bld.pi(n_bits + i) for i in range(n_bits)]
     lt = bld.const(False)
@@ -91,14 +91,12 @@ def comparator(n_bits: int, name: str = "") -> Aig:
     return bld.finish([lt, eq])
 
 
-def mux_tree(n_select: int, name: str = "") -> Aig:
+def mux_tree(n_select: int) -> Aig:
     """2**k data inputs followed by k select inputs, one output."""
     if not 1 <= n_select <= 4:
         raise ValueError("mux_tree size must be in [1, 4]")
-    n_data = 1 << n_select
-    if n_data + n_select > MAX_INPUTS:
-        raise ValueError("mux_tree exceeds the input bound")
-    bld = AigBuilder(n_data + n_select, name or f"mux_tree_{n_select}")
+    n_data = 1 << n_select  # at most 16 + 4 inputs, inside MAX_INPUTS
+    bld = AigBuilder(n_data + n_select, f"mux_tree_{n_select}")
     layer = [bld.pi(i) for i in range(n_data)]
     for s in range(n_select):
         sel = bld.pi(n_data + s)
@@ -107,13 +105,13 @@ def mux_tree(n_select: int, name: str = "") -> Aig:
     return bld.finish(layer)
 
 
-def random_dag(size: int, seed: int = 0, name: str = "") -> Aig:
+def random_dag(size: int, seed: int = 0) -> Aig:
     """Seeded random two-input network mixing AND/OR/XOR/MUX motifs."""
     if size < 1:
         raise ValueError("random_dag size must be >= 1")
     rng = random.Random(seed)
     n_inputs = min(4 + size // 10, 16)
-    bld = AigBuilder(n_inputs, name or f"random_dag_{size}_{seed}")
+    bld = AigBuilder(n_inputs, f"random_dag_{size}_{seed}")
     lits = [bld.pi(i) for i in range(n_inputs)]
 
     def pick_recent() -> int:
@@ -214,8 +212,12 @@ _REPORT_NOTE = ("geomean over (1 + reduction/100) factors, "
 
 @dataclass
 class EvalReport:
+    """The grid's rows and aggregates, and the trace of each run keyed by
+    (method, circuit, seed)."""
+
     rows: list[EvalRow]
     aggregates: dict
+    traces: dict[tuple[str, str, int], list[TraceRow]]
 
     def to_json(self) -> str:
         payload = {
@@ -289,15 +291,15 @@ def _run_one(circuit: Aig, circuit_id: str, method_name: str,
 
 
 def evaluate(methods: list[MethodSpec], circuits: dict[str, Aig],
-             policy=None, bank: EmbeddingBank | None = None,
+             mcts_cfg: MctsConfig, policy=None,
+             bank: EmbeddingBank | None = None,
              delta_th: float | None = None, budget: int = 100,
-             seeds: tuple[int, ...] = (0,),
-             mcts_cfg: MctsConfig | None = None,
-             measure_time: bool = False,
-             trace_sink=None, jobs: int = 1) -> EvalReport:
+             seeds: tuple[int, ...] = (0,), measure_time: bool = False,
+             jobs: int = 1) -> EvalReport:
     """Runs every method on every test circuit under the same synthesis
     budget and aggregates reductions, win ratios, and iso-QoR speedups
     (reference method: pure MCTS when present, else the first method).
+    Each run searches with ``mcts_cfg`` under its method's alpha and seed.
 
     ``jobs`` > 1 fans the (circuit, method, seed) grid out to worker
     processes; results are merged back in deterministic grid order.
@@ -309,7 +311,6 @@ def evaluate(methods: list[MethodSpec], circuits: dict[str, Aig],
     names = [spec.name for spec in methods]
     if len(set(names)) != len(names):
         raise ValueError(f"methods repeat a name: {','.join(names)}")
-    base_cfg = mcts_cfg or MctsConfig(iterations=64)
     runs: list[tuple] = []
     for circuit_id in sorted(circuits):
         circuit = circuits[circuit_id]
@@ -317,7 +318,7 @@ def evaluate(methods: list[MethodSpec], circuits: dict[str, Aig],
             a = resolve_alpha(spec, circuit, policy, bank, delta_th)
             for seed in seeds:
                 runs.append((circuit, circuit_id, spec.name,
-                             dataclasses.replace(base_cfg, alpha=a, seed=seed),
+                             dataclasses.replace(mcts_cfg, alpha=a, seed=seed),
                              budget, policy, measure_time))
     if jobs > 1:
         # imported here: multiprocessing is slow to import for every run
@@ -331,11 +332,8 @@ def evaluate(methods: list[MethodSpec], circuits: dict[str, Aig],
     rows = [row for row, _ in results]
     traces = {(row.method, row.circuit, row.seed): trace
               for row, trace in results}
-    if trace_sink is not None:
-        for row, trace in results:
-            trace_sink(row.method, row.circuit, row.seed, trace)
     aggregates = _aggregate(methods, sorted(circuits), seeds, rows, traces)
-    return EvalReport(rows=rows, aggregates=aggregates)
+    return EvalReport(rows=rows, aggregates=aggregates, traces=traces)
 
 
 def _aggregate(methods, circuit_ids, seeds, rows, traces) -> dict:
@@ -370,11 +368,8 @@ def _aggregate(methods, circuit_ids, seeds, rows, traces) -> dict:
         for cid in circuit_ids:
             per_seed = []
             for s in seeds:
-                mine = traces.get((spec.name, cid, s), [])
-                other = traces.get((ref, cid, s), [])
-                if spec.name == ref:
-                    per_seed.append(1.0)
-                    continue
+                mine = traces[(spec.name, cid, s)]
+                other = traces[(ref, cid, s)]
                 target = min((r.adp_proxy for r in other), default=None)
                 if target is None or not mine:
                     per_seed.append(1.0)

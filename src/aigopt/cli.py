@@ -2,9 +2,10 @@
 
 Subcommands: gen (benchmark circuits), train (policy pre-training), search
 (recipe generation for one circuit), calibrate (OOD threshold from labeled
-validation runs), bench (method comparison grid). Every run writes a
-manifest JSON beside its outputs. Exit codes: 0 success, 1 usage error, 2
-runtime failure.
+validation runs), bench (method comparison grid). Each subcommand returns
+where its manifest goes and what it wrote; ``main`` owns how a run ends: it
+times the run, writes the manifest, and maps errors to exit codes (0
+success, 1 usage error, 2 runtime failure), printing one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ from .mcts import MctsConfig, RecipeEvaluator, TraceRow, generate_recipe
 from .transforms import DEFAULT_RECIPE_LEN
 
 RESULTS_ENV = "AIGOPT_RESULTS"
+
+
+class _UsageError(Exception):
+    """A flag combination argparse cannot check; exits 1. Not a ValueError,
+    which exits 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,8 +91,7 @@ def _write_trace_csv(path: Path, trace) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen(args) -> int:
-    start = time.perf_counter()
+def cmd_gen(args) -> tuple[Path, list[str]]:
     aig = bench_mod.generate_circuit(args.family, args.size, args.seed)
     out = _resolve_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -94,34 +99,25 @@ def cmd_gen(args) -> int:
     s = stats(aig)
     print(f"{aig.name}: inputs={s.input_count} outputs={s.output_count} "
           f"nodes={s.node_count} depth={s.depth} -> {out}")
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), args,
-                    [str(out)], time.perf_counter() - start)
-    return 0
+    return out.with_suffix(out.suffix + ".manifest.json"), [str(out)]
 
 
-def cmd_search(args) -> int:
-    start = time.perf_counter()
+def cmd_search(args) -> tuple[Path, list[str]]:
     if args.alpha == "auto":
         if not args.model:
-            print("error: --alpha auto requires --model", file=sys.stderr)
-            return 1
+            raise _UsageError("--alpha auto requires --model")
         if not args.bank or not args.ood_config:
-            print("error: --alpha auto requires --bank and --ood-config",
-                  file=sys.stderr)
-            return 1
+            raise _UsageError("--alpha auto requires --bank and --ood-config")
     else:
         try:
             fixed_alpha = float(args.alpha)
         except ValueError:
-            print(f"error: --alpha must be 'auto' or a number in [0,1], "
-                  f"got {args.alpha!r}", file=sys.stderr)
-            return 1
+            raise _UsageError(f"--alpha must be 'auto' or a number in [0,1], "
+                              f"got {args.alpha!r}") from None
         if not 0.0 <= fixed_alpha <= 1.0:
-            print("error: --alpha literal must lie in [0,1]", file=sys.stderr)
-            return 1
+            raise _UsageError("--alpha literal must lie in [0,1]")
         if fixed_alpha > 0.0 and not args.model:
-            print("error: --alpha > 0 requires --model", file=sys.stderr)
-            return 1
+            raise _UsageError("--alpha > 0 requires --model")
     aig = _load_circuit(Path(args.aig))
     net = policy_mod.load(args.model) if args.model else None
     if args.alpha == "auto":
@@ -162,14 +158,10 @@ def cmd_search(args) -> int:
         "exhausted": result.exhausted,
         "cache_hits": evaluator.cache_hits,
     }, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir / "manifest.json", args,
-                    [str(trace_path), str(result_path)],
-                    time.perf_counter() - start)
-    return 0
+    return out_dir / "manifest.json", [str(trace_path), str(result_path)]
 
 
-def cmd_train(args) -> int:
-    start = time.perf_counter()
+def cmd_train(args) -> tuple[Path, list[str]]:
     circuits = [_load_circuit(Path(p)) for p in args.circuits]
     net = policy_mod.PolicyNetwork(policy_mod.PolicyConfig(
         gcn_layers=args.gcn_layers, d_hidden=args.d_hidden,
@@ -198,13 +190,10 @@ def cmd_train(args) -> int:
         outputs.append(str(bank_path))
     print(f"trained on {len(circuits)} circuits for {args.epochs} epochs; "
           f"loss {losses[0]:.4f} -> {losses[-1]:.4f}")
-    _write_manifest(out.with_suffix(".manifest.json"), args, outputs,
-                    time.perf_counter() - start)
-    return 0
+    return out.with_suffix(".manifest.json"), outputs
 
 
-def cmd_calibrate(args) -> int:
-    start = time.perf_counter()
+def cmd_calibrate(args) -> tuple[Path, list[str]]:
     net = policy_mod.load(args.model)
     bank = ood_mod.EmbeddingBank.load_csv(args.bank)
     validation = []
@@ -235,45 +224,35 @@ def cmd_calibrate(args) -> int:
         ood_mod.write_calibration_report(report_path, validation, bank, delta_th)
         outputs.append(str(report_path))
     print(f"delta_th = {delta_th:.6f} (T = {args.temperature:g})")
-    _write_manifest(out.with_suffix(".manifest.json"), args, outputs,
-                    time.perf_counter() - start)
-    return 0
+    return out.with_suffix(".manifest.json"), outputs
 
 
-def cmd_bench(args) -> int:
-    start = time.perf_counter()
+def cmd_bench(args) -> tuple[Path, list[str]]:
     try:
         methods = [bench_mod.method(name.strip(), args.temperature)
                    for name in args.methods.split(",")]
     except KeyError as exc:
-        print(f"error: unknown method {exc.args[0]!r}", file=sys.stderr)
-        return 1
+        raise _UsageError(f"unknown method {exc.args[0]!r}") from None
     needs_model = any(m.alpha is None or m.alpha > 0 for m in methods)
     if needs_model and not args.model:
-        print("error: agent methods require --model", file=sys.stderr)
-        return 1
+        raise _UsageError("agent methods require --model")
     needs_gate = any(m.alpha is None for m in methods)
     if needs_gate and (not args.bank or args.delta_th is None):
-        print("error: agent_ood requires --bank and --delta-th",
-              file=sys.stderr)
-        return 1
+        raise _UsageError("agent_ood requires --bank and --delta-th")
     circuits = {p.stem: _load_circuit(p) for p in map(Path, args.test)}
     net = policy_mod.load(args.model) if args.model else None
     bank = ood_mod.EmbeddingBank.load_csv(args.bank) if args.bank else None
-    out_dir = _resolve_path(args.out_dir)
-
-    def trace_sink(method, circuit, seed, trace):
-        run_dir = out_dir / "traces" / method / circuit
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _write_trace_csv(run_dir / f"seed{seed}.csv", trace)
-
     report = bench_mod.evaluate(
         methods, circuits, policy=net, bank=bank, delta_th=args.delta_th,
         budget=args.budget, seeds=tuple(range(args.seeds)),
         mcts_cfg=MctsConfig(iterations=args.k, recipe_len=args.recipe_len),
-        measure_time=args.measure_time, trace_sink=trace_sink,
-        jobs=args.jobs)
+        measure_time=args.measure_time, jobs=args.jobs)
+    out_dir = _resolve_path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for (method, circuit, seed), trace in report.traces.items():
+        run_dir = out_dir / "traces" / method / circuit
+        run_dir.mkdir(parents=True, exist_ok=True)
+        _write_trace_csv(run_dir / f"seed{seed}.csv", trace)
     (out_dir / "report.csv").write_text(report.to_csv())
     (out_dir / "report.json").write_text(report.to_json() + "\n")
     for method, agg in sorted(report.aggregates.items()):
@@ -282,10 +261,8 @@ def cmd_bench(args) -> int:
                   f"{agg['geomean_reduction_pct']:.2f}% "
                   f"win/tie/loss {agg['win']}/{agg['tie']}/{agg['loss']} "
                   f"iso-QoR speedup {agg['iso_qor_speedup_vs_reference']:.2f}x")
-    _write_manifest(out_dir / "manifest.json", args,
-                    [str(out_dir / "report.csv"), str(out_dir / "report.json")],
-                    time.perf_counter() - start)
-    return 0
+    return out_dir / "manifest.json", [str(out_dir / "report.csv"),
+                                       str(out_dir / "report.json")]
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +346,14 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    start = time.perf_counter()
     try:
-        return args.func(args)
-    except (OSError, ValueError, RuntimeError) as exc:
+        manifest, outputs = args.func(args)
+        _write_manifest(manifest, args, outputs, time.perf_counter() - start)
+    except (_UsageError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _UsageError) else 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -175,7 +175,7 @@ class RecipeEvaluator:
         final = self.aig_for(prefix)
         wall = time.perf_counter_ns() - start if self.measure_time else 0
         s = stats(final)
-        adp = float(s.node_count * s.depth)
+        adp = qor(final)
         value = reward(adp, self.baseline)
         self._rewards[prefix] = value
         self.trace.append(TraceRow(self.calls, str(Recipe(prefix)),
@@ -188,7 +188,6 @@ class RecipeEvaluator:
 class SearchResult:
     pi: list[float]
     action: Action
-    iterations_run: int
     exhausted: bool
 
 
@@ -212,7 +211,6 @@ def search(evaluator: RecipeEvaluator, prefix: tuple[Action, ...],
     want_prior = config.alpha > 0.0
     if want_prior and tree.prior is None:
         tree.prior = list(prior(prefix))
-    completed = 0
     exhausted = False
     for _ in range(config.iterations):
         path: list[tuple[SearchNode, int]] = []
@@ -238,14 +236,13 @@ def search(evaluator: RecipeEvaluator, prefix: tuple[Action, ...],
             exhausted = True
             break
         backup(path, value)
-        completed += 1
     total = tree.total_visits()
     if total > 0:
         pi = [tree.n[a] / total for a in range(N_ACTIONS)]
     else:
         pi = [1.0 / N_ACTIONS] * N_ACTIONS
     best = max(range(N_ACTIONS), key=lambda a: (pi[a], -a))
-    return SearchResult(pi, Action(best), completed, exhausted)
+    return SearchResult(pi, Action(best), exhausted)
 
 
 @dataclass

@@ -33,6 +33,9 @@ _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1
 _LEAKY_SLOPE = 0.01
 _FINAL_LAYER_SCALE = 0.01
+# Adam's moment decay rates and its denominator epsilon.
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
 
 
 class ModelFormatError(ValueError):
@@ -331,28 +334,26 @@ class ReplayBuffer:
 
 
 class Adam:
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 0.01,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray], lr: float = 0.01):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1t = 1.0 - self.b1 ** self.t
-        b2t = 1.0 - self.b2 ** self.t
+        b1, b2 = _ADAM_BETAS
+        b1t = 1.0 - b1 ** self.t
+        b2t = 1.0 - b2 ** self.t
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            self.params[name] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            self.params[name] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + _ADAM_EPS)
 
 
 @dataclass

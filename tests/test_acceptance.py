@@ -108,10 +108,10 @@ def test_criterion_4_mcts_correctness():
     evaluator = FakeEvaluator(
         lambda p: 1.0 if p.count(Action.BALANCE) >= 2 else -0.5, recipe_len=3)
     tree = SearchNode()
-    result = search(evaluator, (), tree,
-                    MctsConfig(iterations=250, seed=1, recipe_len=3),
-                    rng=random.Random(1))
-    assert tree.total_visits() == result.iterations_run == 250
+    search(evaluator, (), tree,
+           MctsConfig(iterations=250, seed=1, recipe_len=3),
+           rng=random.Random(1))
+    assert tree.total_visits() == 250
 
     def check(node, depth):
         for a, child in node.children.items():

@@ -115,6 +115,21 @@ def test_malformed_inputs_rejected(data):
         parse_aiger(data)
 
 
+@pytest.mark.parametrize("data", [
+    b"aig 1000000000 1000000000 0 1 0\n2\n",  # 10^9 implicit inputs
+    b"aag 16777217 1 0 1 0\n2\n2\n",         # M = 2^24 + 1
+], ids=["binary_1e9", "ascii_2pow24_plus_1"])
+def test_oversized_header_rejected_before_body(data):
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(AigerError, match="exceeds the limit"):
+        parse_aiger(data)
+    assert time.perf_counter() - start < 1.0
+    # M = 2^24 itself is accepted
+    assert parse_aiger(b"aag 16777216 1 0 1 0\n2\n2\n").n_inputs == 1
+
+
 def test_add_cones_rejects_a_cycle():
     builder = AigBuilder(1)
     lits = {0: 0, 1: builder.pi(0)}

@@ -573,3 +573,92 @@ def test_model_of_format_version_one_exits_two(tmp_path, capsys):
     err = _assert_one_line_error(capsys)
     assert "unsupported model format version 1" in err
     assert not (tmp_path / "r").exists()
+
+
+def test_oversized_aiger_header_exits_two(tmp_path, capsys):
+    circuit = tmp_path / "huge.aig"
+    circuit.write_bytes(b"aig 1000000000 1000000000 0 1 0\n2\n")
+    assert run(["search", "--aig", str(circuit), "--alpha", "0",
+                "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "exceeds the limit" in err
+    assert not (tmp_path / "r").exists()
+
+
+_SEARCH = ["search", "--aig", "{circuit}"]
+_BENCH = ["bench", "--test", "{circuit}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_SEARCH + ["--alpha", "auto"], "--alpha auto requires --model"),
+    (_SEARCH + ["--alpha", "auto", "--model", "m.bin"],
+     "--alpha auto requires --bank and --ood-config"),
+    (_SEARCH + ["--alpha", "nope"],
+     "--alpha must be 'auto' or a number in [0,1], got 'nope'"),
+    (_SEARCH + ["--alpha", "1.5"], "--alpha literal must lie in [0,1]"),
+    (_SEARCH + ["--alpha", "0.5"], "--alpha > 0 requires --model"),
+    (_BENCH + ["--methods", "pure_mcts,bogus"], "unknown method 'bogus'"),
+    (_BENCH + ["--methods", "agent_guided"], "agent methods require --model"),
+    (_BENCH + ["--methods", "agent_ood", "--model", "m.bin"],
+     "agent_ood requires --bank and --delta-th"),
+], ids=["auto_no_model", "auto_no_gate_files", "alpha_unparsable",
+        "alpha_out_of_range", "alpha_no_model", "unknown_method",
+        "agent_no_model", "ood_no_gate"])
+def test_usage_error_exits_one_and_writes_nothing(tmp_path, capsys, argv,
+                                                  message):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    (tmp_path / "a.aag.manifest.json").unlink()
+    capsys.readouterr()
+    argv = [a.format(circuit=circuit) for a in argv]
+    assert run([*argv, "--out-dir", str(tmp_path / "r")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [circuit]
+
+
+# sha256 of the outputs at the commit before the CLI took over manifests
+# and exit codes; the bytes must not move with the plumbing.
+_OUTPUT_DIGESTS = {
+    "s/result.json":
+        "604aded451b944da5e6bf86211927cc749d9bbf5cfa7a0fd79b54a5cf653a1ef",
+    "s/trace.csv":
+        "7bb768eebd089adce9a6f25b2f522836c084583cc7bb06ca5c5efecc4c6814be",
+    "b/report.csv":
+        "4c01105c1848f3f17550d6ca0b42d1167b9d584c15834e208accf25d5310005d",
+    "b/report.json":
+        "16140901710d5bbcf6265d1e1a39f8a591cd928697a1df973a51e92ed024bb99",
+    "b/traces/pure_mcts/mux_tree_2/seed0.csv":
+        "2ee188902bbb440edac371e3d0caae4fba7790188eb894792f430a52c95b6f34",
+    "b/traces/pure_mcts/mux_tree_2/seed1.csv":
+        "a7c8dbc2c3992ed3e4bf8150277b0827cad334fd3ff6a9f06bc978c1da898624",
+    "b/traces/pure_mcts/ripple_adder_3/seed0.csv":
+        "989a086b41351d279c27f850aa8892610305a563133d73475f81e1dd997839f4",
+    "b/traces/pure_mcts/ripple_adder_3/seed1.csv":
+        "19960b02ba87056b5d56a21fa3073eba46613de98c393f3fe3ad88e4e5e6c13a",
+}
+
+
+def test_outputs_match_parent_digest(tmp_path):
+    import hashlib
+
+    for family, size in (("ripple_adder", 4), ("ripple_adder", 3),
+                         ("mux_tree", 2)):
+        assert run(["gen", "--family", family, "--size", str(size),
+                    "--out", str(tmp_path / f"{family}_{size}.aag")]) == 0
+    assert run(["search", "--aig", str(tmp_path / "ripple_adder_4.aag"),
+                "--alpha", "0", "--budget", "12", "--k", "8", "--seed", "3",
+                "--out-dir", str(tmp_path / "s")]) == 0
+    assert run(["bench", "--test", str(tmp_path / "ripple_adder_3.aag"),
+                str(tmp_path / "mux_tree_2.aag"), "--methods", "pure_mcts",
+                "--seeds", "2", "--budget", "6", "--k", "4",
+                "--out-dir", str(tmp_path / "b")]) == 0
+    digests = {
+        path.relative_to(tmp_path).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for out_dir in (tmp_path / "s", tmp_path / "b")
+        for path in out_dir.rglob("*")
+        if path.is_file() and path.name != "manifest.json"}
+    assert digests == _OUTPUT_DIGESTS

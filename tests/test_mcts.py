@@ -234,8 +234,7 @@ def test_visit_count_conservation_and_q_identity():
         recipe_len=3)
     tree = SearchNode()
     cfg = MctsConfig(iterations=300, seed=4, recipe_len=3)
-    result = search(evaluator, (), tree, cfg, rng=random.Random(4))
-    assert result.iterations_run == 300
+    search(evaluator, (), tree, cfg, rng=random.Random(4))
     assert tree.total_visits() == 300
 
     def check(node, depth):
