@@ -83,9 +83,6 @@ class Aig:
     def first_and(self) -> int:
         return 1 + self.n_inputs
 
-    def fanins(self, index: int) -> tuple[int, int]:
-        return self.ands[index - self.first_and()]
-
     @cached_property
     def levels(self) -> list[int]:
         lv = [0] * (1 + self.n_inputs)

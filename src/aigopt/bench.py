@@ -370,14 +370,12 @@ def _aggregate(methods, circuit_ids, seeds, rows, traces) -> dict:
             for s in seeds:
                 mine = traces[(spec.name, cid, s)]
                 other = traces[(ref, cid, s)]
-                target = min((r.adp_proxy for r in other), default=None)
-                if target is None or not mine:
-                    per_seed.append(1.0)
-                    continue
-                n_ref = _first_reach(other, target)
+                # every trace has a row, and the reference reaches its own
+                # minimum
+                target = min(r.adp_proxy for r in other)
                 n_mine = _first_reach(mine, target)
-                per_seed.append(1.0 if n_mine is None or n_ref is None
-                                else n_ref / n_mine)
+                per_seed.append(1.0 if n_mine is None
+                                else _first_reach(other, target) / n_mine)
             speedups.append(sum(per_seed) / len(per_seed))
         aggregates[spec.name] = {
             "geomean_reduction_pct": geomean_reduction(reductions),

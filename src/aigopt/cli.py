@@ -5,7 +5,8 @@ Subcommands: gen (benchmark circuits), train (policy pre-training), search
 validation runs), bench (method comparison grid). Each subcommand returns
 where its manifest goes and what it wrote; ``main`` owns how a run ends: it
 times the run, writes the manifest, and maps errors to exit codes (0
-success, 1 usage error, 2 runtime failure), printing one ``error:`` line.
+success, 1 usage error, 2 runtime failure or exhausted memory), printing one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -33,12 +34,6 @@ RESULTS_ENV = "AIGOPT_RESULTS"
 class _UsageError(Exception):
     """A flag combination argparse cannot check; exits 1. Not a ValueError,
     which exits 2."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _resolve_path(raw: str) -> Path:
@@ -267,9 +262,9 @@ def cmd_bench(args) -> tuple[Path, list[str]]:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="aigopt",
-                     description="Synthesis recipe optimization for AIGs")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="aigopt", description="Synthesis recipe optimization for AIGs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[], help="generate a benchmark circuit")
@@ -344,14 +339,15 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
+    except SystemExit as exc:  # argparse's usage error (2) exits 1
+        return 1 if exc.code else 0
     start = time.perf_counter()
     try:
         manifest, outputs = args.func(args)
         _write_manifest(manifest, args, outputs, time.perf_counter() - start)
-    except (_UsageError, OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_UsageError, OSError, ValueError, RuntimeError,
+            MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1 if isinstance(exc, _UsageError) else 2
     return 0
 

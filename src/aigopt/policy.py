@@ -143,7 +143,7 @@ class PolicyNetwork:
 
     # -- forward -------------------------------------------------------------
 
-    def _gcn_forward(self, graph, training: bool, update_stats: bool = False):
+    def _gcn_forward(self, graph, training: bool):
         cfg = self.config
         adj, h = graph
         cache = {"adj": adj, "layers": []}
@@ -153,13 +153,12 @@ class PolicyNetwork:
             if training:
                 mu = z.mean(axis=0)
                 var = z.var(axis=0)
-                if update_stats:
-                    rm = self.buffers[f"gcn{k}.running_mean"]
-                    rv = self.buffers[f"gcn{k}.running_var"]
-                    rm *= 1.0 - _BN_MOMENTUM
-                    rm += _BN_MOMENTUM * mu
-                    rv *= 1.0 - _BN_MOMENTUM
-                    rv += _BN_MOMENTUM * var
+                rm = self.buffers[f"gcn{k}.running_mean"]
+                rv = self.buffers[f"gcn{k}.running_var"]
+                rm *= 1.0 - _BN_MOMENTUM
+                rm += _BN_MOMENTUM * mu
+                rv *= 1.0 - _BN_MOMENTUM
+                rv += _BN_MOMENTUM * var
             else:
                 mu = self.buffers[f"gcn{k}.running_mean"]
                 var = self.buffers[f"gcn{k}.running_var"]
@@ -213,9 +212,8 @@ class PolicyNetwork:
         pi = _softmax(a2 @ self.params["fc2.W"] + self.params["fc2.b"])
         return pi, {"a0": a0, "z1": z1, "a1": a1, "z2": z2, "a2": a2}
 
-    def _forward_full(self, graph, prefix, training: bool,
-                      update_stats: bool = False):
-        h_aig, gcn_cache = self._gcn_forward(graph, training, update_stats)
+    def _forward_full(self, graph, prefix, training: bool):
+        h_aig, gcn_cache = self._gcn_forward(graph, training)
         pi, cache = self._head(h_aig, prefix)
         cache["gcn"] = gcn_cache
         cache["prefix"] = tuple(int(a) for a in prefix)
@@ -280,18 +278,19 @@ class PolicyNetwork:
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(p) for name, p in self.params.items()}
 
-    def loss_and_grads(self, batch, aigs_by_id: dict[str, Aig],
-                       update_stats: bool = False) -> tuple[float, dict]:
+    def loss_and_grads(self, batch,
+                       aigs_by_id: dict[str, Aig]) -> tuple[float, dict]:
         """Mean cross-entropy and mean gradients over (circuit_id, prefix,
-        pi_mcts) experience tuples, with batch norm in training mode; each
-        circuit's graph is built once per call."""
+        pi_mcts) experience tuples, with batch norm in training mode (which
+        updates its running statistics); each circuit's graph is built once
+        per call."""
         graphs = {cid: _graph(aigs_by_id[cid])
                   for cid in {exp.circuit_id for exp in batch}}
         grads = self.zero_grads()
         total = 0.0
         for exp in batch:
             pi, cache = self._forward_full(graphs[exp.circuit_id], exp.prefix,
-                                           True, update_stats)
+                                           True)
             target = np.asarray(exp.pi, dtype=np.float64)
             total += loss(pi, target)
             self._backward(cache, pi - target, grads)
@@ -404,7 +403,7 @@ def train(net: PolicyNetwork, circuits: list[Aig],
             generate_recipe(RecipeEvaluator(aig), search_cfg, policy=net,
                             collect=collect)
         batch = buffer.sample(recipe_len * n_tr, rng)
-        value, grads = net.loss_and_grads(batch, aigs_by_id, update_stats=True)
+        value, grads = net.loss_and_grads(batch, aigs_by_id)
         adam.step(grads)
         losses.append(value)
     return losses

@@ -36,6 +36,9 @@ _RESUB_LEAF_CAP = 12
 _RESUB_DIVISOR_CAP = 24
 
 
+_CODES = ("b", "rw", "rwz", "rf", "rfz", "rs", "rsz")  # indexed by Action
+
+
 class Action(enum.IntEnum):
     """The action space: stable 0..6 encoding for policy-head indexing."""
 
@@ -49,26 +52,14 @@ class Action(enum.IntEnum):
 
     @property
     def code(self) -> str:
-        return _ACTION_CODES[self]
+        return _CODES[self]
 
     @classmethod
     def from_code(cls, code: str) -> "Action":
         try:
-            return _CODE_ACTIONS[code.strip()]
-        except KeyError:
+            return cls(_CODES.index(code.strip()))
+        except ValueError:
             raise ValueError(f"unknown action code {code!r}") from None
-
-
-_ACTION_CODES = {
-    Action.BALANCE: "b",
-    Action.REWRITE: "rw",
-    Action.REWRITE_Z: "rwz",
-    Action.REFACTOR: "rf",
-    Action.REFACTOR_Z: "rfz",
-    Action.RESUB: "rs",
-    Action.RESUB_Z: "rsz",
-}
-_CODE_ACTIONS = {code: action for action, code in _ACTION_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -86,7 +77,7 @@ class Recipe:
         text = text.strip()
         if not text:
             return cls(())
-        return cls(tuple(Action.from_code(tok) for tok in text.replace(";", ",").split(",")))
+        return cls(tuple(Action.from_code(tok) for tok in text.split(",")))
 
     def __str__(self) -> str:
         return ",".join(a.code for a in self.actions)
@@ -131,7 +122,6 @@ class _Net:
             self.f0[v] = a
             self.f1[v] = b
             self.strash[(a, b)] = 2 * v
-        self.orig_nodes = n
 
     # -- resolution ---------------------------------------------------------
 
@@ -299,22 +289,11 @@ def balance(aig: Aig) -> Aig:
         return aig
     builder = AigBuilder(aig.n_inputs, aig.name)
     fanouts = aig.fanout_counts
-    memo: dict[int, int] = {0: 0}
-    for i in range(aig.n_inputs):
-        memo[1 + i] = builder.pi(i)
-    new_level: dict[int, int] = {}
-
-    def level_of(lit: int) -> int:
-        return new_level.get(lit >> 1, 0)
-
-    def build_and(a: int, b: int) -> int:
-        out = builder.and_(a, b)
-        v = out >> 1
-        if v not in new_level and v > aig.n_inputs:
-            new_level[v] = 1 + max(level_of(a), level_of(b))
-        return out
-
     first_and = aig.first_and()
+    # new_lit[v]: old node v's literal in the rebuilt graph; level[u]: the
+    # level of rebuilt node u. The constant and the inputs keep their nodes.
+    new_lit = [2 * v for v in range(first_and)] + [0] * len(aig.ands)
+    level = [0] * first_and
     # Tree roots: referenced by an output, through a complemented edge, or
     # by more than one fanout. Everything else is interior to some tree.
     is_root = [False] * aig.n_nodes
@@ -332,44 +311,33 @@ def balance(aig: Aig) -> Aig:
         # Collect the maximal single-fanout, non-complemented AND tree.
         leaves: list[int] = []
         stack = [2 * v]
-        interior: set[int] = set()
         while stack:
             lit = stack.pop()
             w = lit >> 1
             if (lit & 1) == 0 and w >= first_and and (w == v or fanouts[w] == 1):
-                interior.add(w)
-                a, b = aig.fanins(w)
+                a, b = aig.ands[w - first_and]
                 stack.append(b)
                 stack.append(a)
             else:
                 leaves.append(lit)
-        seen: set[int] = set()
-        uniq: list[int] = []
-        const0 = False
-        for lit in leaves:
-            if lit in seen:
-                continue  # x & x = x
-            if (lit ^ 1) in seen:
-                const0 = True  # x & !x = 0
-                break
-            seen.add(lit)
-            uniq.append(lit)
-        if const0:
-            memo[v] = 0
-            continue
-        mapped = [memo[l >> 1] ^ (l & 1) for l in uniq]
-        heap = [(level_of(m), i, m) for i, m in enumerate(mapped)]
+        uniq = dict.fromkeys(leaves)  # x & x = x, in first-seen order
+        if any(lit ^ 1 in uniq for lit in uniq):
+            continue  # x & !x = 0: new_lit[v] stays 0
+        mapped = [new_lit[l >> 1] ^ (l & 1) for l in uniq]
+        heap = [(level[m >> 1], i, m) for i, m in enumerate(mapped)]
         heapq.heapify(heap)
         seq = len(heap)
         while len(heap) > 1:
             _, _, x = heapq.heappop(heap)
             _, _, y = heapq.heappop(heap)
-            z = build_and(x, y)
-            heapq.heappush(heap, (level_of(z), seq, z))
+            z = builder.and_(x, y)
+            if z >> 1 == len(level):  # a node the builder just added
+                level.append(1 + max(level[x >> 1], level[y >> 1]))
+            heapq.heappush(heap, (level[z >> 1], seq, z))
             seq += 1
-        memo[v] = heap[0][2]
+        new_lit[v] = heap[0][2]
 
-    out_lits = [memo[o >> 1] ^ (o & 1) for o in aig.outputs]
+    out_lits = [new_lit[o >> 1] ^ (o & 1) for o in aig.outputs]
     result = builder.finish(out_lits)
     return result if result.depth <= aig.depth else aig
 
@@ -558,7 +526,7 @@ def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
         deref = net._deref(v)
         mffc = set(deref[1])
         cone = set()
-        leaves: list[int] = []
+        leaf_set = set()
         queue = [v]
         while queue:
             u = queue.pop()
@@ -567,13 +535,11 @@ def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
             cone.add(u)
             for f in (net.f0[u], net.f1[u]):
                 w = net.resolve(f) >> 1
-                if w in cone:
-                    continue
                 if w in mffc and w > net.n_inputs:
                     queue.append(w)
-                elif w not in leaves:
-                    leaves.append(w)
-        leaves = sorted(set(leaves) - {0})
+                else:
+                    leaf_set.add(w)
+        leaves = sorted(leaf_set - {0})
         if not 2 <= len(leaves) <= _REFACTOR_MAX_LEAVES:
             return
         if len(cone) < 2 and not zero_cost:
@@ -598,32 +564,35 @@ def _resub_window(net: _Net, v: int):
     Shrinks the depth bound until the leaf count fits the truth-table cap.
     """
     for depth in range(_RESUB_WINDOW_DEPTH, 0, -1):
-        cutoff = net.level[v] - depth
-        interior: list[int] = []
-        leaves: list[int] = []
-        seen = {v}
-        stack = [v]
-        ok = True
-        while stack:
-            u = stack.pop()
-            for f in (net.f0[u], net.f1[u]):
-                w = net.resolve(f) >> 1
-                if w in seen:
-                    continue
-                seen.add(w)
-                if w > net.n_inputs and net.level[w] > cutoff:
-                    interior.append(w)
-                    stack.append(w)
-                elif w != 0:
-                    leaves.append(w)
-                    if len(leaves) > _RESUB_LEAF_CAP:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            return sorted(interior), sorted(leaves)
+        window = _window_above(net, v, net.level[v] - depth)
+        if window is not None:
+            return window
     return [], []
+
+
+def _window_above(net: _Net, v: int, cutoff: int):
+    """The fanin window of ``v`` whose interior nodes lie above level
+    ``cutoff``, as in ``_resub_window``; None once its leaves pass
+    ``_RESUB_LEAF_CAP``."""
+    interior: list[int] = []
+    leaves: list[int] = []
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for f in (net.f0[u], net.f1[u]):
+            w = net.resolve(f) >> 1
+            if w in seen:
+                continue
+            seen.add(w)
+            if w > net.n_inputs and net.level[w] > cutoff:
+                interior.append(w)
+                stack.append(w)
+            elif w != 0:
+                leaves.append(w)
+                if len(leaves) > _RESUB_LEAF_CAP:
+                    return None
+    return sorted(interior), sorted(leaves)
 
 
 _RESUB_SIDE_CAP = 32
@@ -633,7 +602,7 @@ def _side_divisors(net: _Net, v: int, interior: list[int], leaves: list[int],
                    mffc: set[int], fanout_lists: list[list[int]]) -> list[int]:
     """Original-graph nodes outside the fanin window whose support lies
     within the window leaves (bottom-up closure over snapshot fanouts)."""
-    n0 = net.orig_nodes
+    n0 = len(fanout_lists)
     in_window = set(leaves) | set(interior) | {0}
     admitted: list[int] = []
     frontier = list(leaves) + list(interior)
@@ -716,16 +685,15 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
         deref = net._deref(v)
         mffc = set(deref[1])
         side = _side_divisors(net, v, interior, leaves, mffc, fanout_lists)
-        seen_lits: set[int] = set()
+        seen = {0, v}  # nodes that give no divisor, or have given one
         divisor_lits: list[int] = []
         for d in interior + leaves + side:
-            if d == v or d in mffc:
+            if d in mffc:
                 continue
             r = net.resolve(2 * d)
-            if (r >> 1) in (0, v) or r in seen_lits or (r ^ 1) in seen_lits:
-                continue
-            seen_lits.add(r)
-            divisor_lits.append(r)
+            if r >> 1 not in seen:
+                seen.add(r >> 1)
+                divisor_lits.append(r)
         divisor_lits.sort(key=lambda lit: (-net.level[lit >> 1], lit))
         divisor_lits = divisor_lits[:_RESUB_DIVISOR_CAP]
         memo[v] = None  # a divisor whose cone holds v would close a cycle

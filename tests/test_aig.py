@@ -307,7 +307,7 @@ def _recount_by_dfs(aig):
     def visit(v):
         if v in depth:
             return depth[v]
-        f0, f1 = aig.fanins(v)
+        f0, f1 = aig.ands[v - aig.first_and()]
         d = 1 + max(visit(f0 >> 1), visit(f1 >> 1))
         depth[v] = d
         seen.add(v)
@@ -325,7 +325,7 @@ def _recount_by_dfs(aig):
         if v in reachable or v <= aig.n_inputs:
             continue
         reachable.add(v)
-        f0, f1 = aig.fanins(v)
+        f0, f1 = aig.ands[v - aig.first_and()]
         stack.extend((f0 >> 1, f1 >> 1))
     return len(reachable), out_depth
 

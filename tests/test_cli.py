@@ -586,6 +586,59 @@ def test_oversized_aiger_header_exits_two(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def _run_memory_capped(argv, limit=512 << 20):
+    """Runs ``python -m aigopt.cli`` in a child process whose address space
+    is capped at ``limit`` bytes; the cap never applies to this process."""
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import aigopt
+
+    # one BLAS thread, so numpy's import does not reserve address space
+    # per core
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(aigopt.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "aigopt.cli", *argv], capture_output=True,
+        text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+
+
+def _assert_out_of_memory_exit(result, out_dir):
+    assert result.returncode == 2, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert not out_dir.exists()
+
+
+def test_binary_aiger_exhausting_memory_exits_two(tmp_path):
+    # Binary inputs are implicit: 31 bytes declare 2^22 of them, below the
+    # header cap, and reading them needs more than the child may allocate.
+    circuit = tmp_path / "wide.aig"
+    circuit.write_bytes(b"aig 4194304 4194304 0 1 0\n2\n")
+    result = _run_memory_capped(["search", "--aig", str(circuit),
+                                 "--alpha", "0", "--budget", "4", "--k", "2",
+                                 "--out-dir", str(tmp_path / "r")])
+    _assert_out_of_memory_exit(result, tmp_path / "r")
+
+
+def test_model_exhausting_memory_exits_two(tmp_path):
+    # A valid checksum over a header whose d_hidden asks for terabytes.
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    model, _ = _tiny_model_and_bank(tmp_path, circuit)
+    _edit_model_header(model, lambda h: h["config"].update(d_hidden=10**6))
+    result = _run_memory_capped(["search", "--aig", str(circuit),
+                                 "--alpha", "1", "--model", str(model),
+                                 "--budget", "4", "--k", "2",
+                                 "--out-dir", str(tmp_path / "r")])
+    _assert_out_of_memory_exit(result, tmp_path / "r")
+
+
 _SEARCH = ["search", "--aig", "{circuit}"]
 _BENCH = ["bench", "--test", "{circuit}"]
 

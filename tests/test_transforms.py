@@ -418,6 +418,38 @@ def test_pass_outputs_match_parent_digest(fresh_memo):
     assert digests == _PASS_DIGESTS
 
 
+# sha256 of the AIGER bytes after every step of three seeded random ten-pass
+# recipes per circuit, taken before balance was rebuilt on flat lists. The
+# passes are called directly, so the memo cannot serve a stored result.
+_RECIPE_DIGESTS = {
+    "random_dag_400_0":
+        "cbe1fdeacaac4823bf1df432c22f3bb8255648cfe324e40b30b519610c67824d",
+    "array_multiplier_6":
+        "a546e135924938b5d53d19d3010ac1e151406b693992a46c55c820660413cd10",
+    "comparator_8":
+        "60bc82250eb5638db5af60c152cc409924323106513cb1a2972178a1110f777a",
+}
+
+
+def test_recipe_outputs_match_parent_digest():
+    import hashlib
+    import random
+
+    from aigopt.bench import array_multiplier, comparator, random_dag
+
+    rng = random.Random(13)
+    digests = {}
+    for g in (random_dag(400, seed=0), array_multiplier(6), comparator(8)):
+        h = hashlib.sha256()
+        for _ in range(3):
+            current = g
+            for action in rng.choices(list(Action), k=10):
+                current = transforms._PASSES[action](current)
+                h.update(write_aiger(current))
+        digests[g.name] = h.hexdigest()
+    assert digests == _RECIPE_DIGESTS
+
+
 # ---------------------------------------------------------------------------
 # Trial replacements
 # ---------------------------------------------------------------------------
