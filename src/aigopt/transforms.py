@@ -294,27 +294,23 @@ def balance(aig: Aig) -> Aig:
     # level of rebuilt node u. The constant and the inputs keep their nodes.
     new_lit = [2 * v for v in range(first_and)] + [0] * len(aig.ands)
     level = [0] * first_and
-    # Tree roots: referenced by an output, through a complemented edge, or
-    # by more than one fanout. Everything else is interior to some tree.
-    is_root = [False] * aig.n_nodes
+    # Interior nodes: ANDs whose one fanout is an AND that takes them
+    # uncomplemented. Every other AND roots a tree.
+    interior = [False] * aig.n_nodes
     for f0, f1 in aig.ands:
         for f in (f0, f1):
-            w = f >> 1
-            if w >= first_and and ((f & 1) or fanouts[w] > 1):
-                is_root[w] = True
-    for o in aig.outputs:
-        if (o >> 1) >= first_and:
-            is_root[o >> 1] = True
+            if not f & 1 and f >> 1 >= first_and and fanouts[f >> 1] == 1:
+                interior[f >> 1] = True
     for v in range(first_and, aig.n_nodes):
-        if not is_root[v]:
+        if interior[v]:
             continue
-        # Collect the maximal single-fanout, non-complemented AND tree.
+        # Collect the maximal tree of interior nodes under v.
         leaves: list[int] = []
         stack = [2 * v]
         while stack:
             lit = stack.pop()
             w = lit >> 1
-            if (lit & 1) == 0 and w >= first_and and (w == v or fanouts[w] == 1):
+            if w == v or interior[w]:
                 a, b = aig.ands[w - first_and]
                 stack.append(b)
                 stack.append(a)
