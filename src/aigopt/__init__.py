@@ -8,7 +8,6 @@ from .aig import (
     Equivalence,
     SequentialCircuitError,
     equivalent,
-    node_features,
     parse_aiger,
     stats,
     write_aiger,
@@ -27,7 +26,6 @@ __all__ = [
     "apply",
     "apply_recipe",
     "equivalent",
-    "node_features",
     "parse_aiger",
     "stats",
     "write_aiger",

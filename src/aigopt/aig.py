@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
 
 from .isop import var_mask
 
@@ -22,7 +21,6 @@ CONST_TRUE = 1
 
 EXHAUSTIVE_INPUT_LIMIT = 16  # 2^16 vectors is still sub-second
 MAX_AIGER_VAR = 1 << 24  # largest header M the reader accepts
-NODE_FEATURES = 6  # columns of a node_features row
 
 
 class AigerError(ValueError):
@@ -444,31 +442,3 @@ def stats(aig: Aig) -> AigStats:
     return AigStats(node_count=len(aig.ands), depth=aig.depth,
                     input_count=aig.n_inputs, output_count=aig.n_outputs)
 
-
-def node_features(aig: Aig) -> np.ndarray:
-    """Per-node feature rows used by the graph encoder.
-
-    Columns: one-hot kind (const/PI/and2), complemented-fanin count / 2,
-    level / depth, fanout / max fanout. Shape [n_nodes, 6].
-    """
-    n = aig.n_nodes
-    feats = np.zeros((n, NODE_FEATURES), dtype=np.float64)
-    feats[0, 0] = 1.0
-    for i in range(1, 1 + aig.n_inputs):
-        feats[i, 1] = 1.0
-    depth = aig.depth
-    levels = aig.levels
-    fanouts = aig.fanout_counts
-    max_fanout = max(fanouts) if fanouts else 0
-    base = aig.first_and()
-    for k, (f0, f1) in enumerate(aig.ands):
-        i = base + k
-        feats[i, 2] = 1.0
-        feats[i, 3] = ((f0 & 1) + (f1 & 1)) / 2.0
-    if depth > 0:
-        for i in range(n):
-            feats[i, 4] = levels[i] / depth
-    if max_fanout > 0:
-        for i in range(n):
-            feats[i, 5] = fanouts[i] / max_fanout
-    return feats

@@ -14,11 +14,14 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .aig import Aig, AigBuilder
 from .mcts import MctsConfig, RecipeEvaluator, TraceRow, generate_recipe
-from .ood import EmbeddingBank, OodConfig, alpha as ood_alpha, min_distance
 from .transforms import _MEMO
+
+if TYPE_CHECKING:
+    from .ood import EmbeddingBank
 
 MAX_INPUTS = 24
 
@@ -256,9 +259,11 @@ def resolve_alpha(spec: MethodSpec, circuit: Aig, policy, bank: EmbeddingBank | 
     if policy is None or bank is None or delta_th is None:
         raise ValueError(f"method {spec.name!r} needs a policy, an embedding "
                          "bank, and a calibrated threshold")
-    h = policy.encode_aig(circuit)
-    d_min, _ = min_distance(h, bank)
-    return ood_alpha(d_min, OodConfig(delta_th, spec.temperature))
+    # imported here: the gate loads numpy, which unguided runs never need
+    from .ood import OodConfig, alpha, min_distance
+
+    d_min, _ = min_distance(policy.encode_aig(circuit), bank)
+    return alpha(d_min, OodConfig(delta_th, spec.temperature))
 
 
 def _first_reach(trace, target_adp: float) -> int | None:

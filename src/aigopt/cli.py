@@ -6,7 +6,9 @@ validation runs), bench (method comparison grid). Each subcommand returns
 where its manifest goes and what it wrote; ``main`` owns how a run ends: it
 times the run, writes the manifest, and maps errors to exit codes (0
 success, 1 usage error, 2 runtime failure or exhausted memory), printing one
-``error:`` line.
+``error:`` line. The policy and OOD-gate modules, which load numpy, are
+imported only where a model is loaded or trained, so ``gen`` and unguided
+``search`` and ``bench`` runs never load numpy.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import time
 from pathlib import Path
 
 from . import bench as bench_mod
-from . import ood as ood_mod
-from . import policy as policy_mod
 from .aig import parse_aiger, stats, write_aiger
 from .mcts import MctsConfig, RecipeEvaluator, TraceRow, generate_recipe
 from .transforms import DEFAULT_RECIPE_LEN
@@ -74,6 +74,12 @@ def _load_circuit(path: Path):
     return parse_aiger(path.read_bytes(), name=path.stem)
 
 
+def _load_model(path: str):
+    from . import policy
+
+    return policy.load(path)
+
+
 def _write_trace_csv(path: Path, trace) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -114,8 +120,10 @@ def cmd_search(args) -> tuple[Path, list[str]]:
         if fixed_alpha > 0.0 and not args.model:
             raise _UsageError("--alpha > 0 requires --model")
     aig = _load_circuit(Path(args.aig))
-    net = policy_mod.load(args.model) if args.model else None
+    net = _load_model(args.model) if args.model else None
     if args.alpha == "auto":
+        from . import ood as ood_mod
+
         bank = ood_mod.EmbeddingBank.load_csv(args.bank)
         cfg = ood_mod.OodConfig.load(args.ood_config)
         d_min, nearest = ood_mod.min_distance(net.encode_aig(aig), bank)
@@ -157,6 +165,9 @@ def cmd_search(args) -> tuple[Path, list[str]]:
 
 
 def cmd_train(args) -> tuple[Path, list[str]]:
+    from . import ood as ood_mod
+    from . import policy as policy_mod
+
     circuits = [_load_circuit(Path(p)) for p in args.circuits]
     net = policy_mod.PolicyNetwork(policy_mod.PolicyConfig(
         gcn_layers=args.gcn_layers, d_hidden=args.d_hidden,
@@ -189,7 +200,9 @@ def cmd_train(args) -> tuple[Path, list[str]]:
 
 
 def cmd_calibrate(args) -> tuple[Path, list[str]]:
-    net = policy_mod.load(args.model)
+    from . import ood as ood_mod
+
+    net = _load_model(args.model)
     bank = ood_mod.EmbeddingBank.load_csv(args.bank)
     validation = []
     with open(args.validation, newline="") as fh:
@@ -235,8 +248,12 @@ def cmd_bench(args) -> tuple[Path, list[str]]:
     if needs_gate and (not args.bank or args.delta_th is None):
         raise _UsageError("agent_ood requires --bank and --delta-th")
     circuits = {p.stem: _load_circuit(p) for p in map(Path, args.test)}
-    net = policy_mod.load(args.model) if args.model else None
-    bank = ood_mod.EmbeddingBank.load_csv(args.bank) if args.bank else None
+    net = _load_model(args.model) if args.model else None
+    bank = None
+    if args.bank:
+        from . import ood as ood_mod
+
+        bank = ood_mod.EmbeddingBank.load_csv(args.bank)
     report = bench_mod.evaluate(
         methods, circuits, policy=net, bank=bank, delta_th=args.delta_th,
         budget=args.budget, seeds=tuple(range(args.seeds)),

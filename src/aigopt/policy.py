@@ -4,7 +4,8 @@ embedding branch, and a fused head producing action probabilities.
 Everything is plain numpy with hand-written backpropagation; gradients are
 validated against central finite differences in the test suite. The AIG
 branch also exposes its pooled embedding, which the out-of-distribution
-gate consumes.
+gate consumes. Only this module and the gate load numpy, so pure search
+never does.
 """
 
 from __future__ import annotations
@@ -13,16 +14,16 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-import scipy.sparse as sp
 
-from .aig import NODE_FEATURES, Aig, node_features
+from .aig import Aig
 from .mcts import MctsConfig, RecipeEvaluator, generate_recipe
 from .transforms import DEFAULT_RECIPE_LEN, N_ACTIONS, Action
 
 LOG_FLOOR = 1e-12
+NODE_FEATURES = 6  # columns of a node_features row
 
 # The encoder and head design is fixed: batch norm with this epsilon and
 # running-statistics momentum, leaky ReLU with this negative slope, and a
@@ -53,9 +54,36 @@ class PolicyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("gcn_layers", "d_hidden", "d_emb", "d_head"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(
+                    f"{f.name} must be an integer, got {value!r}")
+            if f.name != "seed" and value < 1:
+                raise ValueError(f"{f.name} must be >= 1")
+
+
+def _shapes(cfg: PolicyConfig) -> dict[str, dict[str, tuple[int, ...]]]:
+    """The shape of every tensor of a network with this config, by array
+    group and then by name in initialization order."""
+    params: dict[str, tuple[int, ...]] = {}
+    buffers: dict[str, tuple[int, ...]] = {}
+    d_prev = NODE_FEATURES
+    for k in range(cfg.gcn_layers):
+        params[f"gcn{k}.W"] = (d_prev, cfg.d_hidden)
+        for name in ("b", "gamma", "beta"):
+            params[f"gcn{k}.{name}"] = (cfg.d_hidden,)
+        for name in ("running_mean", "running_var"):
+            buffers[f"gcn{k}.{name}"] = (cfg.d_hidden,)
+        d_prev = cfg.d_hidden
+    params["act_emb"] = (N_ACTIONS, cfg.d_emb)
+    params["pos_emb"] = (cfg.recipe_len, cfg.d_emb)
+    d_in = 2 * cfg.d_hidden + cfg.d_emb
+    for k, d_out in enumerate((cfg.d_head, cfg.d_head, N_ACTIONS)):
+        params[f"fc{k}.W"] = (d_in, d_out)
+        params[f"fc{k}.b"] = (d_out,)
+        d_in = d_out
+    return {"params": params, "buffers": buffers}
 
 
 def _leaky(x: np.ndarray) -> np.ndarray:
@@ -80,30 +108,93 @@ def loss(pi_theta: np.ndarray, pi_mcts: np.ndarray) -> float:
     return float(-(t * np.log(p)).sum())
 
 
-def normalized_adjacency(aig: Aig) -> sp.csr_matrix:
-    """Symmetric degree-normalized adjacency of the undirected fanin graph
-    with self-loops."""
+def node_features(aig: Aig) -> np.ndarray:
+    """Per-node feature rows used by the graph encoder.
+
+    Columns: one-hot kind (const/PI/and2), complemented-fanin count / 2,
+    level / depth, fanout / max fanout. Shape [n_nodes, 6].
+    """
     n = aig.n_nodes
-    rows = list(range(n))
-    cols = list(range(n))
+    feats = np.zeros((n, NODE_FEATURES), dtype=np.float64)
+    feats[0, 0] = 1.0
+    for i in range(1, 1 + aig.n_inputs):
+        feats[i, 1] = 1.0
+    depth = aig.depth
+    levels = aig.levels
+    fanouts = aig.fanout_counts
+    max_fanout = max(fanouts) if fanouts else 0
     base = aig.first_and()
     for k, (f0, f1) in enumerate(aig.ands):
-        u = base + k
-        for f in (f0, f1):
-            rows.extend((u, f >> 1))
-            cols.extend((f >> 1, u))
-    data = np.ones(len(rows), dtype=np.float64)
-    adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    adj.sum_duplicates()
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    d = sp.diags(inv_sqrt)
-    return (d @ adj @ d).tocsr()
+        i = base + k
+        feats[i, 2] = 1.0
+        feats[i, 3] = ((f0 & 1) + (f1 & 1)) / 2.0
+    if depth > 0:
+        for i in range(n):
+            feats[i, 4] = levels[i] / depth
+    if max_fanout > 0:
+        for i in range(n):
+            feats[i, 5] = fanouts[i] / max_fanout
+    return feats
 
 
-def _graph(aig: Aig) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The encoder's input: (normalized adjacency, node features)."""
-    return normalized_adjacency(aig), node_features(aig)
+def normalized_adjacency(aig: Aig) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]:
+    """Symmetric degree-normalized adjacency D^-1/2 A D^-1/2 of the
+    undirected fanin graph with self-loops, as CSR arrays
+    ``(indptr, indices, data)``: row i's entries sit at
+    ``indptr[i]:indptr[i + 1]`` with their columns sorted. A node listed
+    twice among one AND's fanins is one entry with count 2, and each
+    entry is ``(inv[r] * count) * inv[c]`` with ``inv = 1 / sqrt(degree)``,
+    the arrays and bits that SciPy's ``D @ A @ D`` gives."""
+    n = aig.n_nodes
+    u = np.arange(aig.first_and(), n, dtype=np.int64)
+    fanins = np.array(aig.ands, dtype=np.int64).reshape(-1, 2) >> 1
+    loops = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([loops, u, fanins[:, 0], u, fanins[:, 1]])
+    cols = np.concatenate([loops, fanins[:, 0], u, fanins[:, 1], u])
+    keys, counts = np.unique(rows * n + cols, return_counts=True)
+    r, c = keys // n, keys % n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(r, minlength=n), out=indptr[1:])
+    inv = 1.0 / np.sqrt(np.bincount(r, weights=counts, minlength=n))
+    return indptr, c, (inv[r] * counts) * inv[c]
+
+
+def _spmm_plan(csr) -> tuple:
+    """Precomputes ``_spmm`` for one CSR matrix: the k-th entries of all
+    rows that have one form one contiguous step, rows ordered longest
+    first, so step k adds to a prefix of the rows."""
+    indptr, indices, data = csr
+    lengths = np.diff(indptr)
+    perm = np.argsort(-lengths, kind="stable")
+    longest_first = lengths[perm]
+    counts = [int(np.count_nonzero(longest_first > k))
+              for k in range(int(longest_first[0]))]
+    order = np.concatenate([indptr[perm[:c]] + k
+                            for k, c in enumerate(counts)])
+    return indices[order], data[order, None], counts, np.argsort(perm)
+
+
+def _spmm(plan, x: np.ndarray) -> np.ndarray:
+    """Sparse-dense product ``A @ x`` for ``plan = _spmm_plan(A)``. Each
+    output row starts at zero and adds ``data[jj] * x[indices[jj]]`` over
+    its entries in stored order, which is the order of SciPy's
+    ``csr_matvecs``, so the bits match SciPy's."""
+    cols, weights, counts, unperm = plan
+    products = np.take(x, cols, axis=0)
+    products *= weights  # in place: one nnz-row temporary, not two
+    out = np.zeros((len(unperm), x.shape[1]))
+    start = 0
+    for count in counts:
+        out[:count] += products[start:start + count]
+        start += count
+    return out[unperm]
+
+
+def _graph(aig: Aig) -> tuple[tuple, np.ndarray]:
+    """The encoder's input: (the adjacency's ``_spmm`` plan, node
+    features)."""
+    return _spmm_plan(normalized_adjacency(aig)), node_features(aig)
 
 
 class PolicyNetwork:
@@ -111,35 +202,24 @@ class PolicyNetwork:
 
     def __init__(self, config: PolicyConfig | None = None):
         self.config = config or PolicyConfig()
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(self.config.seed)
+        shapes = _shapes(self.config)
         self.params: dict[str, np.ndarray] = {}
-        self.buffers: dict[str, np.ndarray] = {}
-        d_prev = NODE_FEATURES
-        for k in range(cfg.gcn_layers):
-            self.params[f"gcn{k}.W"] = self._he(rng, d_prev, cfg.d_hidden)
-            self.params[f"gcn{k}.b"] = np.zeros(cfg.d_hidden)
-            self.params[f"gcn{k}.gamma"] = np.ones(cfg.d_hidden)
-            self.params[f"gcn{k}.beta"] = np.zeros(cfg.d_hidden)
-            self.buffers[f"gcn{k}.running_mean"] = np.zeros(cfg.d_hidden)
-            self.buffers[f"gcn{k}.running_var"] = np.ones(cfg.d_hidden)
-            d_prev = cfg.d_hidden
-        self.params["act_emb"] = rng.normal(
-            0.0, np.sqrt(2.0 / cfg.d_emb), size=(N_ACTIONS, cfg.d_emb))
-        self.params["pos_emb"] = rng.normal(
-            0.0, np.sqrt(2.0 / cfg.d_emb), size=(cfg.recipe_len, cfg.d_emb))
-        d_cat = 2 * cfg.d_hidden + cfg.d_emb
-        self.params["fc0.W"] = self._he(rng, d_cat, cfg.d_head)
-        self.params["fc0.b"] = np.zeros(cfg.d_head)
-        self.params["fc1.W"] = self._he(rng, cfg.d_head, cfg.d_head)
-        self.params["fc1.b"] = np.zeros(cfg.d_head)
-        self.params["fc2.W"] = self._he(rng, cfg.d_head, N_ACTIONS) \
-            * _FINAL_LAYER_SCALE
-        self.params["fc2.b"] = np.zeros(N_ACTIONS)
-
-    @staticmethod
-    def _he(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+        for name, shape in shapes["params"].items():
+            kind = name.rpartition(".")[2]
+            if kind == "W":  # He initialization
+                self.params[name] = rng.normal(
+                    0.0, np.sqrt(2.0 / shape[0]), size=shape)
+            elif kind.endswith("_emb"):
+                self.params[name] = rng.normal(
+                    0.0, np.sqrt(2.0 / self.config.d_emb), size=shape)
+            else:
+                self.params[name] = (np.ones(shape) if kind == "gamma"
+                                     else np.zeros(shape))
+        self.params["fc2.W"] *= _FINAL_LAYER_SCALE
+        self.buffers: dict[str, np.ndarray] = {
+            name: np.ones(shape) if name.endswith("var") else np.zeros(shape)
+            for name, shape in shapes["buffers"].items()}
 
     # -- forward -------------------------------------------------------------
 
@@ -148,17 +228,11 @@ class PolicyNetwork:
         adj, h = graph
         cache = {"adj": adj, "layers": []}
         for k in range(cfg.gcn_layers):
-            m = adj @ h
+            m = _spmm(adj, h)
             z = m @ self.params[f"gcn{k}.W"] + self.params[f"gcn{k}.b"]
             if training:
                 mu = z.mean(axis=0)
                 var = z.var(axis=0)
-                rm = self.buffers[f"gcn{k}.running_mean"]
-                rv = self.buffers[f"gcn{k}.running_var"]
-                rm *= 1.0 - _BN_MOMENTUM
-                rm += _BN_MOMENTUM * mu
-                rv *= 1.0 - _BN_MOMENTUM
-                rv += _BN_MOMENTUM * var
             else:
                 mu = self.buffers[f"gcn{k}.running_mean"]
                 var = self.buffers[f"gcn{k}.running_var"]
@@ -166,8 +240,8 @@ class PolicyNetwork:
             zhat = (z - mu) * inv_std
             bn_out = self.params[f"gcn{k}.gamma"] * zhat + self.params[f"gcn{k}.beta"]
             h_next = _leaky(bn_out)
-            cache["layers"].append(
-                {"m": m, "zhat": zhat, "inv_std": inv_std, "bn_out": bn_out})
+            cache["layers"].append({"m": m, "zhat": zhat, "inv_std": inv_std,
+                                    "bn_out": bn_out, "mu": mu, "var": var})
             h = h_next
         h_mean = h.mean(axis=0)
         h_max_idx = h.argmax(axis=0)
@@ -212,8 +286,21 @@ class PolicyNetwork:
         pi = _softmax(a2 @ self.params["fc2.W"] + self.params["fc2.b"])
         return pi, {"a0": a0, "z1": z1, "a1": a1, "z2": z2, "a2": a2}
 
-    def _forward_full(self, graph, prefix, training: bool):
-        h_aig, gcn_cache = self._gcn_forward(graph, training)
+    def _track_batch_stats(self, gcn_cache) -> None:
+        """Folds the batch statistics of one training-mode encoder pass into
+        the batch-norm running statistics."""
+        for k, layer in enumerate(gcn_cache["layers"]):
+            rm = self.buffers[f"gcn{k}.running_mean"]
+            rv = self.buffers[f"gcn{k}.running_var"]
+            rm *= 1.0 - _BN_MOMENTUM
+            rm += _BN_MOMENTUM * layer["mu"]
+            rv *= 1.0 - _BN_MOMENTUM
+            rv += _BN_MOMENTUM * layer["var"]
+
+    def _forward_full(self, encoded, prefix):
+        """The head over ``encoded = _gcn_forward(...)``, keeping every
+        activation the backward pass needs."""
+        h_aig, gcn_cache = encoded
         pi, cache = self._head(h_aig, prefix)
         cache["gcn"] = gcn_cache
         cache["prefix"] = tuple(int(a) for a in prefix)
@@ -271,9 +358,9 @@ class PolicyNetwork:
                 - zhat * (dzhat * zhat).sum(axis=0))
             grads[f"gcn{k}.W"] += layer["m"].T @ dz
             grads[f"gcn{k}.b"] += dz.sum(axis=0)
-            dm = dz @ self.params[f"gcn{k}.W"].T
-            dh = adj @ dm  # adjacency is symmetric
-        # gradient w.r.t. input features is discarded
+            if k:  # the input features take no gradient
+                dm = dz @ self.params[f"gcn{k}.W"].T
+                dh = _spmm(adj, dm)  # adjacency is symmetric
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(p) for name, p in self.params.items()}
@@ -281,16 +368,19 @@ class PolicyNetwork:
     def loss_and_grads(self, batch,
                        aigs_by_id: dict[str, Aig]) -> tuple[float, dict]:
         """Mean cross-entropy and mean gradients over (circuit_id, prefix,
-        pi_mcts) experience tuples, with batch norm in training mode (which
-        updates its running statistics); each circuit's graph is built once
-        per call."""
-        graphs = {cid: _graph(aigs_by_id[cid])
-                  for cid in {exp.circuit_id for exp in batch}}
+        pi_mcts) experience tuples, with batch norm in training mode. Each
+        circuit is encoded once per call, since the parameters do not change
+        within it; each experience still folds its circuit's batch
+        statistics into the running statistics, in batch order."""
+        encoded = {}
         grads = self.zero_grads()
         total = 0.0
         for exp in batch:
-            pi, cache = self._forward_full(graphs[exp.circuit_id], exp.prefix,
-                                           True)
+            if exp.circuit_id not in encoded:
+                encoded[exp.circuit_id] = self._gcn_forward(
+                    _graph(aigs_by_id[exp.circuit_id]), training=True)
+            self._track_batch_stats(encoded[exp.circuit_id][1])
+            pi, cache = self._forward_full(encoded[exp.circuit_id], exp.prefix)
             target = np.asarray(exp.pi, dtype=np.float64)
             total += loss(pi, target)
             self._backward(cache, pi - target, grads)
@@ -418,16 +508,16 @@ _FORMAT_VERSION = 2
 _GROUPS = ("params", "buffers")  # array groups, in blob order
 
 
-def _listing(net: PolicyNetwork, key: str) -> list:
+def _listing(shapes: dict[str, tuple[int, ...]]) -> list:
     """The header entry of one array group: [name, shape] in blob order."""
-    group = getattr(net, key)
-    return [[name, list(group[name].shape)] for name in sorted(group)]
+    return [[name, list(shapes[name])] for name in sorted(shapes)]
 
 
 def save(net: PolicyNetwork, path) -> None:
     header = {"config": asdict(net.config)}
     for key in _GROUPS:
-        header[key] = _listing(net, key)
+        header[key] = _listing({name: value.shape for name, value
+                                in getattr(net, key).items()})
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     blob = bytearray()
     blob += _MAGIC
@@ -465,23 +555,35 @@ def load(path) -> PolicyNetwork:
     header = json.loads(body[offset:offset + header_len].decode("utf-8"))
     offset += header_len
     try:
-        net = PolicyNetwork(PolicyConfig(**header["config"]))
+        config = PolicyConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad model config in header: {exc}") from exc
     for key in _GROUPS:
         if key not in header:
             raise ModelFormatError(f"model header lacks {key!r}")
-        listing = _listing(net, key)
-        if header[key] != listing:
+    # Every layer lists tensors, so a config with more layers than the header
+    # lists tensors cannot match it; rejecting it first keeps the shape
+    # listing as small as the file.
+    listed = header["params"]
+    fits = isinstance(listed, list) and config.gcn_layers <= len(listed)
+    shapes = _shapes(config) if fits else None
+    for key in _GROUPS:
+        if shapes is None or header[key] != _listing(shapes[key]):
             raise ModelFormatError(
                 f"model header {key!r} lists tensors or shapes that differ "
                 "from the network's")
+    n_bytes = 8 * sum(math.prod(shape) for key in _GROUPS
+                      for shape in shapes[key].values())
+    if len(body) - offset != n_bytes:
+        raise ModelFormatError(
+            f"model file holds {len(body) - offset} bytes of tensors; "
+            f"its header lists {n_bytes}")
+    net = PolicyNetwork(config)
+    for key in _GROUPS:
         group = getattr(net, key)
-        for name, shape in listing:
-            size = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(body, dtype="<f8", count=size, offset=offset)
-            offset += size * 8
+        for name, shape in _listing(shapes[key]):
+            arr = np.frombuffer(body, dtype="<f8", count=math.prod(shape),
+                                offset=offset)
+            offset += arr.nbytes
             group[name] = arr.reshape(shape).copy()
-    if offset != len(body):
-        raise ModelFormatError("model file has trailing data")
     return net

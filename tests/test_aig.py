@@ -9,12 +9,12 @@ from aigopt.aig import (
     AigerError,
     SequentialCircuitError,
     equivalent,
-    node_features,
     parse_aiger,
     stats,
     write_aiger,
 )
 from aigopt.bench import array_multiplier, ripple_adder
+from aigopt.policy import node_features
 from conftest import simulate
 
 

@@ -539,10 +539,12 @@ def test_bench_repeated_method_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("d_in", 7), ("n_actions", 5), ("bn_eps", -1.0), ("bn_momentum", 2),
-    ("leaky_slope", "a"), ("final_layer_scale", 1)])
+    ("leaky_slope", "a"), ("final_layer_scale", 1), ("d_hidden", True),
+    ("d_hidden", 2.5), ("recipe_len", 0), ("seed", True), ("gcn_layers", "2")])
 def test_model_with_removed_config_key_exits_two(tmp_path, capsys, key,
                                                  value):
-    # Each key names a constant of the network design, not a config field.
+    # Each key names a constant of the network design, not a config field,
+    # or gives a config field a value that is not an integer or is below 1.
     circuit = tmp_path / "a.aag"
     run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
     model, _ = _tiny_model_and_bank(tmp_path, circuit)
@@ -554,6 +556,36 @@ def test_model_with_removed_config_key_exits_two(tmp_path, capsys, key,
     err = _assert_one_line_error(capsys)
     assert key in err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h["config"].update(d_hidden=10**6), "model header"),
+    (lambda h: h["config"].update(recipe_len=10**9), "model header"),
+    (lambda h: h["params"].append(["zz", [10**6, 10**6]]), "model header"),
+    (lambda h: h["params"].sort(reverse=True), "model header"),
+    (None, "bytes of tensors"),
+], ids=["d_hidden", "recipe_len", "extra_tensor", "order", "body_length"])
+def test_model_load_checks_header_before_building_network(
+        tmp_path, monkeypatch, edit, message):
+    import hashlib
+
+    from aigopt import policy
+
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    model, _ = _tiny_model_and_bank(tmp_path, circuit)
+    if edit is None:  # one float64 more than the header lists
+        body = model.read_bytes()[:-32] + bytes(8)
+        model.write_bytes(body + hashlib.sha256(body).digest())
+    else:
+        _edit_model_header(model, edit)
+
+    def build(config):
+        raise AssertionError("the network was built before the check")
+
+    monkeypatch.setattr(policy, "PolicyNetwork", build)
+    with pytest.raises(policy.ModelFormatError, match=message):
+        policy.load(model)
 
 
 def test_model_of_format_version_one_exits_two(tmp_path, capsys):
@@ -639,6 +671,66 @@ def test_model_exhausting_memory_exits_two(tmp_path):
     _assert_out_of_memory_exit(result, tmp_path / "r")
 
 
+def _child_modules(code: str) -> set:
+    """Runs ``code`` in a fresh interpreter with this package on its path
+    and returns the top-level names of the modules it had loaded."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import aigopt
+
+    env = dict(os.environ, PYTHONPATH=str(Path(aigopt.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\n"
+         "print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def test_gen_and_unguided_search_load_neither_numpy_nor_scipy(tmp_path):
+    circuit, out = tmp_path / "a.aag", tmp_path / "r"
+    loaded = _child_modules(
+        "import aigopt, aigopt.cli, aigopt.bench\n"
+        f"assert aigopt.cli.main(['gen', '--family', 'ripple_adder', "
+        f"'--size', '3', '--out', {str(circuit)!r}]) == 0\n"
+        f"assert aigopt.cli.main(['search', '--aig', {str(circuit)!r}, "
+        f"'--alpha', '0', '--budget', '4', '--k', '2', "
+        f"'--out-dir', {str(out)!r}]) == 0")
+    assert "aigopt" in loaded
+    assert not loaded & {"numpy", "scipy"}
+
+
+def test_train_loads_numpy_and_not_scipy(tmp_path):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "2", "--out", str(circuit)])
+    loaded = _child_modules(
+        "import aigopt.cli\n"
+        f"assert aigopt.cli.main(['train', '--circuits', {str(circuit)!r}, "
+        f"'--out', {str(tmp_path / 'm.bin')!r}, '--epochs', '1', "
+        f"'--k', '2', '--d-hidden', '4']) == 0")
+    assert "numpy" in loaded
+    assert "scipy" not in loaded
+
+
+def test_model_with_huge_layer_count_fails_before_listing_shapes(tmp_path):
+    # A layer count the header's own listing cannot hold is rejected before
+    # a shape is listed per layer; the child's memory cap keeps a failure
+    # of this check from exhausting the host.
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    model, _ = _tiny_model_and_bank(tmp_path, circuit)
+    _edit_model_header(model, lambda h: h["config"].update(gcn_layers=10**9))
+    result = _run_memory_capped(["search", "--aig", str(circuit),
+                                 "--alpha", "1", "--model", str(model),
+                                 "--budget", "4", "--k", "2",
+                                 "--out-dir", str(tmp_path / "r")])
+    _assert_out_of_memory_exit(result, tmp_path / "r")
+    assert "model header 'params'" in result.stderr
+
+
 _SEARCH = ["search", "--aig", "{circuit}"]
 _BENCH = ["bench", "--test", "{circuit}"]
 
@@ -715,3 +807,107 @@ def test_outputs_match_parent_digest(tmp_path):
         for path in out_dir.rglob("*")
         if path.is_file() and path.name != "manifest.json"}
     assert digests == _OUTPUT_DIGESTS
+
+
+def _learned_pipeline(tmp_path):
+    """gen → train (with bank) → calibrate (with report) → a three-method
+    bench → search at alpha 1 and auto, all on tiny settings. Returns the
+    sha256 of every non-manifest output, keyed by its path under
+    ``tmp_path``."""
+    import hashlib
+
+    def gen(family, size):
+        path = tmp_path / "in" / f"{family}_{size}.aag"
+        assert run(["gen", "--family", family, "--size", str(size),
+                    "--out", str(path)]) == 0
+        return str(path)
+
+    train = [gen("ripple_adder", 3), gen("mux_tree", 2)]
+    assert run(["train", "--circuits", *train, "--out",
+                str(tmp_path / "t/model.bin"), "--bank",
+                str(tmp_path / "t/bank.csv"), "--epochs", "2", "--k", "4",
+                "--gcn-layers", "2", "--d-hidden", "8", "--seed", "1"]) == 0
+    validation = tmp_path / "in/val.csv"
+    validation.write_text(f"circuit,label\n{gen('ripple_adder', 4)},0\n"
+                          f"{gen('array_multiplier', 3)},1\n"
+                          f"{gen('comparator', 3)},1\n")
+    assert run(["calibrate", "--model", str(tmp_path / "t/model.bin"),
+                "--bank", str(tmp_path / "t/bank.csv"),
+                "--validation", str(validation),
+                "--out", str(tmp_path / "c/ood.json"),
+                "--report", str(tmp_path / "c/report.csv")]) == 0
+    delta_th = json.loads((tmp_path / "c/ood.json").read_text())["delta_th"]
+    model = ["--model", str(tmp_path / "t/model.bin")]
+    gate = ["--bank", str(tmp_path / "t/bank.csv")]
+    assert run(["bench", "--test", train[0], gen("comparator", 2),
+                "--methods", "pure_mcts,agent_guided,agent_ood", *model,
+                *gate, "--delta-th", repr(delta_th), "--seeds", "2",
+                "--budget", "20", "--k", "12",
+                "--out-dir", str(tmp_path / "b")]) == 0
+    for alpha in ("1", "auto"):
+        assert run(["search", "--aig", gen("ripple_adder", 4), "--alpha", alpha,
+                    *model, *gate, "--ood-config", str(tmp_path / "c/ood.json"),
+                    "--budget", "20", "--k", "12", "--seed", "2",
+                    "--out-dir", str(tmp_path / f"s{alpha}")]) == 0
+    return {
+        path.relative_to(tmp_path).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for out_dir in ("t", "c", "b", "s1", "sauto")
+        for path in (tmp_path / out_dir).rglob("*")
+        if path.is_file() and not path.name.endswith("manifest.json")}
+
+
+# sha256 of the learned pipeline's outputs with the sparse adjacency
+# product done by scipy; the numpy product must give the same bytes.
+_LEARNED_DIGESTS = {
+    "b/report.csv":
+        "07b4cfb6a48ac0b9c9b1331ae28897fc04619c46680c6bced0fbb7429ed9229a",
+    "b/report.json":
+        "15cb1d5a1e67def289383efb78f2bdbaa51c597ef75bfb17435444fe6abbf970",
+    "b/traces/agent_guided/comparator_2/seed0.csv":
+        "dfd383b244816ef5a97a7e33342727c8479c49e2a1be223f59273d79409355e7",
+    "b/traces/agent_guided/comparator_2/seed1.csv":
+        "911b5d8c9dc4d7222e610b8595505cdac6c342e1964ead97f877f76f47a78b38",
+    "b/traces/agent_guided/ripple_adder_3/seed0.csv":
+        "d5c49ec4f109aef472b6f2f1b7016406d20bab444c69691e7f486207f739d6d7",
+    "b/traces/agent_guided/ripple_adder_3/seed1.csv":
+        "e8e72f4c1878f0ec3e16c1cc36cc0e0d3f601db3eb4dc0c16009662af195b07e",
+    "b/traces/agent_ood_T0/comparator_2/seed0.csv":
+        "c2fb4de2fc400c72d202022a266fe6641e31aee1c9674a0199adaa425f030b50",
+    "b/traces/agent_ood_T0/comparator_2/seed1.csv":
+        "d0be8f4eb2d2e6baebde53c210d3d40ca7fdc4a1f24b9ef5cae96d3f550d5382",
+    "b/traces/agent_ood_T0/ripple_adder_3/seed0.csv":
+        "d5c49ec4f109aef472b6f2f1b7016406d20bab444c69691e7f486207f739d6d7",
+    "b/traces/agent_ood_T0/ripple_adder_3/seed1.csv":
+        "e8e72f4c1878f0ec3e16c1cc36cc0e0d3f601db3eb4dc0c16009662af195b07e",
+    "b/traces/pure_mcts/comparator_2/seed0.csv":
+        "c2fb4de2fc400c72d202022a266fe6641e31aee1c9674a0199adaa425f030b50",
+    "b/traces/pure_mcts/comparator_2/seed1.csv":
+        "d0be8f4eb2d2e6baebde53c210d3d40ca7fdc4a1f24b9ef5cae96d3f550d5382",
+    "b/traces/pure_mcts/ripple_adder_3/seed0.csv":
+        "c5a0344fbe316a887e1d69c0d098703a75f7f670a7d88e4fe1a3a3b6186d2e1f",
+    "b/traces/pure_mcts/ripple_adder_3/seed1.csv":
+        "c171145d465728b26dd8fff7db4d249e925e03ec2ba5d46db54852feb53c8963",
+    "c/ood.json":
+        "1a071435a7587a69bd0ba590e1dacc1e315899e735a2139e97e9fcc9305bdadd",
+    "c/report.csv":
+        "db59fa1ee146ca334dc30b1df18f7a5652bb16533d84967b1f8345496b2ce839",
+    "s1/result.json":
+        "484e5fd1beafe233d38e862348787e47293dfff15f533203563b5b9c6e426f51",
+    "s1/trace.csv":
+        "3dc69cef31b1519a54995a6df247096905c5220955de59a824c02e5e9ff3b35e",
+    "sauto/result.json":
+        "484e5fd1beafe233d38e862348787e47293dfff15f533203563b5b9c6e426f51",
+    "sauto/trace.csv":
+        "3dc69cef31b1519a54995a6df247096905c5220955de59a824c02e5e9ff3b35e",
+    "t/bank.csv":
+        "f371cbf45f94c42d5e74f65b3b564dbe6c9d0b8e7a12ed03d083acb287b19074",
+    "t/model.bin":
+        "1bae9fb5b627880f0f70d60d5e96f6cdf7e63f8cfb3f19b0a7902d032f959f64",
+    "t/model.loss.csv":
+        "60d95f95df0cbad43aa1f83cb363eb35b97d3c53dafba53295a4bc070da97cb5",
+}
+
+
+def test_learned_pipeline_matches_parent_digest(tmp_path):
+    assert _learned_pipeline(tmp_path) == _LEARNED_DIGESTS

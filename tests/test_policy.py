@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aigopt.aig import AigBuilder, parse_aiger
+from aigopt.aig import Aig, AigBuilder, parse_aiger
 from aigopt.bench import generate_circuit, mux_tree, ripple_adder
 from aigopt.policy import (
     Adam,
@@ -14,8 +14,11 @@ from aigopt.policy import (
     ReplayBuffer,
     TrainingConfig,
     _graph,
+    _spmm,
+    _spmm_plan,
     load,
     loss,
+    normalized_adjacency,
     save,
     train,
 )
@@ -97,7 +100,7 @@ def test_encode_aig_single_node_matches_hand_computation():
     aig = parse_aiger(b"aag 0 0 0 1 0\n0\n")
     net = tiny_net()
     cfg = net.config
-    from aigopt.aig import node_features
+    from aigopt.policy import node_features
 
     h = node_features(aig)[0]
     for k in range(cfg.gcn_layers):
@@ -131,7 +134,8 @@ def test_priors_match_forward():
     net = tiny_net()
     g1, _ = small_graphs()
     prefix = (Action.BALANCE, Action.RESUB)
-    full, _ = net._forward_full(_graph(g1), prefix, training=False)
+    full, _ = net._forward_full(net._gcn_forward(_graph(g1), False),
+                                 prefix)
     assert np.array_equal(net.priors(net.encode_aig(g1), prefix), full)
 
 
@@ -147,13 +151,75 @@ def test_priors_follow_the_circuit_when_ids_are_reused():
     for cycle in range(120):
         family, top = families[cycle % len(families)]
         circuit = generate_circuit(family, 1 + (cycle // 4) % top, seed=cycle)
-        fresh, _ = PolicyNetwork(cfg)._forward_full(_graph(circuit), prefix,
-                                                     training=False)
-        full, _ = net._forward_full(_graph(circuit), prefix, training=False)
+        fresh_net = PolicyNetwork(cfg)
+        fresh, _ = fresh_net._forward_full(
+            fresh_net._gcn_forward(_graph(circuit), False), prefix)
+        full, _ = net._forward_full(net._gcn_forward(_graph(circuit), False),
+                                    prefix)
         pi = net.priors(net.encode_aig(circuit), prefix)
         assert np.array_equal(pi, full), cycle
         assert np.array_equal(pi, fresh), cycle
         del circuit
+
+
+# ---------------------------------------------------------------------------
+# sparse adjacency product
+# ---------------------------------------------------------------------------
+
+def _scipy_adjacency(aig):
+    """The normalized adjacency as scipy builds it: COO with duplicates,
+    converted to CSR and summed, then scaled on both sides by D^-1/2."""
+    sp = pytest.importorskip("scipy.sparse")
+    n = aig.n_nodes
+    rows, cols = list(range(n)), list(range(n))
+    for k, (f0, f1) in enumerate(aig.ands):
+        u = aig.first_and() + k
+        for f in (f0, f1):
+            rows.extend((u, f >> 1))
+            cols.extend((f >> 1, u))
+    adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)),
+                        shape=(n, n)).tocsr()
+    adj.sum_duplicates()
+    d = sp.diags(1.0 / np.sqrt(np.asarray(adj.sum(axis=1)).ravel()))
+    return (d @ adj @ d).tocsr()
+
+
+def _oracle_circuits():
+    bld = AigBuilder(2, "wide_fanout")
+    a, acc = bld.pi(0), bld.pi(1)
+    for i in range(70):  # input a feeds 70 ANDs, in both polarities
+        acc = bld.and_(a ^ (i & 1), acc)
+    wide = bld.finish([acc])
+    # not canonical, so only direct construction makes it: its AND lists
+    # one node twice, which gives an entry of count 2
+    same = Aig(1, [(2, 3)], [4], "same_fanin")
+    return [parse_aiger(b"aag 0 0 0 1 0\n0\n"), same, wide,
+            generate_circuit("ripple_adder", 12, 0),
+            generate_circuit("array_multiplier", 10, 0),
+            generate_circuit("comparator", 12, 0),
+            generate_circuit("mux_tree", 4, 0),
+            generate_circuit("random_dag", 200, 1),
+            generate_circuit("random_dag", 1000, 5)]
+
+
+def test_normalized_adjacency_and_product_match_scipy_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for aig in _oracle_circuits():
+        ref = _scipy_adjacency(aig)
+        indptr, indices, data = normalized_adjacency(aig)
+        assert np.array_equal(indptr, ref.indptr), aig.name
+        assert np.array_equal(indices, ref.indices), aig.name
+        assert data.tobytes() == ref.data.tobytes(), aig.name
+        if aig.name == "wide_fanout":
+            assert np.diff(indptr).max() > 64
+        if aig.name == "same_fanin":
+            # three self-loops, and the doubled edge once each way
+            assert len(data) == 5
+        plan = _spmm_plan((indptr, indices, data))
+        for width in (6, 32):
+            x = rng.normal(size=(aig.n_nodes, width))
+            x[rng.random(x.shape) < 0.2] = -0.0  # signed zeros must match
+            assert _spmm(plan, x).tobytes() == (ref @ x).tobytes(), aig.name
 
 
 # ---------------------------------------------------------------------------
