@@ -112,6 +112,8 @@ def random_dag(size: int, seed: int = 0) -> Aig:
     """Seeded random two-input network mixing AND/OR/XOR/MUX motifs."""
     if size < 1:
         raise ValueError("random_dag size must be >= 1")
+    if seed < 0:  # random.Random seeds with abs(seed): -3 would alias 3
+        raise ValueError("random_dag seed must be >= 0")
     rng = random.Random(seed)
     n_inputs = min(4 + size // 10, 16)
     bld = AigBuilder(n_inputs, f"random_dag_{size}_{seed}")

@@ -46,6 +46,8 @@ class MctsConfig:
             raise ValueError("recipe_len must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class SearchNode:

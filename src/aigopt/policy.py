@@ -59,8 +59,9 @@ class PolicyConfig:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(
                     f"{f.name} must be an integer, got {value!r}")
-            if f.name != "seed" and value < 1:
-                raise ValueError(f"{f.name} must be >= 1")
+            least = 0 if f.name == "seed" else 1
+            if value < least:
+                raise ValueError(f"{f.name} must be >= {least}")
 
 
 def _shapes(cfg: PolicyConfig) -> dict[str, dict[str, tuple[int, ...]]]:
@@ -457,6 +458,8 @@ class TrainingConfig:
             raise ValueError("epochs must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def train(net: PolicyNetwork, circuits: list[Aig],

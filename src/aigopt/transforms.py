@@ -3,7 +3,7 @@
 Passes never mutate their input. Each structural pass (rewrite, refactor,
 resub) runs on a mutable working copy with fanout reference counts. A trial
 replacement counts its gain, the ANDs it frees less the ANDs its candidate
-revives or adds, in an overlay of those counts; only a commit, made when the
+revives or adds, in an overlay of counts and ANDs; only a commit, made when the
 gain meets the gain rule, writes them. Balance rebuilds maximal AND trees and
 never increases depth. Every pass falls back to returning its input
 unchanged if the objective guard would be violated. ``apply`` is the one
@@ -97,7 +97,8 @@ RESYN2 = Recipe.parse("b,rw,rf,b,rw,rwz,b,rfz,rwz,b")
 # ---------------------------------------------------------------------------
 
 class _Net:
-    """Reference-counted AND graph used inside a structural pass.
+    """Reference-counted AND graph used inside a structural pass. A trial's
+    nodes and counts live in an overlay, and only ``commit`` writes the net.
 
     ``ref`` counts the references from the outputs and from the unresolved
     fanins of nodes with a positive count. A replaced node keeps its old
@@ -140,7 +141,8 @@ class _Net:
 
     # -- candidate construction ----------------------------------------------
 
-    def _and(self, a: int, b: int) -> int:
+    def _and(self, a: int, b: int, new: dict[tuple[int, int], int],
+             own: int) -> int:
         if a > b:
             a, b = b, a
         if a == 0:
@@ -152,28 +154,23 @@ class _Net:
         if a == (b ^ 1):
             return 0
         key = (a, b)
-        hit = self.strash.get(key)
-        if hit is not None:
-            return hit
-        v = len(self.f0)
-        self.f0.append(a)
-        self.f1.append(b)
-        self.ref.append(0)
-        self.level.append(1 + max(self.level[a >> 1], self.level[b >> 1]))
-        self.strash[key] = 2 * v
-        return 2 * v
+        hit = new.get(key) or self.strash.get(key)  # no AND's literal is 0
+        if hit is None or hit == own:  # the node being replaced is absent
+            hit = new[key] = 2 * (len(self.f0) + len(new))
+        return hit
 
-    def _build(self, expr: Expr, leaves: list[int]) -> int:
+    def _build(self, expr: Expr, leaves: list[int],
+               new: dict[tuple[int, int], int], own: int) -> int:
         tag = expr[0]
         if tag == "const":
             return 1 if expr[1] else 0
         if tag == "var":
             return leaves[expr[1]] ^ (1 if expr[2] else 0)
-        left = self._build(expr[1], leaves)
-        right = self._build(expr[2], leaves)
+        left = self._build(expr[1], leaves, new, own)
+        right = self._build(expr[2], leaves, new, own)
         if tag == "and":
-            return self._and(left, right)
-        return self._and(left ^ 1, right ^ 1) ^ 1
+            return self._and(left, right, new, own)
+        return self._and(left ^ 1, right ^ 1, new, own) ^ 1
 
     # -- trial replacement ----------------------------------------------------
 
@@ -196,52 +193,59 @@ class _Net:
                 stack.append(f1[u] >> 1)
         return counts, freed
 
-    def try_replace(self, v: int, deref: tuple[dict[int, int], list[int]],
-                    expr: Expr, leaves: list[int], min_gain: int,
-                    root_compl: bool = False, commit: bool = True) -> int | None:
-        """Attempts to replace node ``v`` by ``expr`` over ``leaves``;
-        ``deref`` is ``_deref(v)`` under the current counts, and is not
-        changed.
+    def trial(self, v: int, deref: tuple[dict[int, int], list[int]],
+              expr: Expr, leaves: list[int], min_gain: int):
+        """Scores replacing node ``v`` by ``expr`` over ``leaves``, changing
+        neither the net nor ``deref`` (``_deref(v)`` under the current counts).
 
         The gain is the ANDs freed by deleting ``v`` less the ANDs that the
-        new root's references bring to a positive count. Returns it when it
-        is at least ``min_gain``, committing unless ``commit`` is false;
-        otherwise returns None. Only a commit changes the net.
-        """
+        new root's references bring to a positive count. Returns None when
+        the root is ``v`` or the gain is below ``min_gain``, else ``(gain,
+        root, new, counts)``: ``new`` maps the fanin pair of each node the
+        candidate adds to its literal, numbered on from ``len(f0)`` in
+        creation order, and ``counts`` gives each changed count."""
         counts, freed = deref
-        if len(freed) < min_gain:
+        gain = len(freed)
+        if gain < min_gain:
             return None
-        counts = dict(counts)
+        new: dict[tuple[int, int], int] = {}
+        root = self._build(expr, leaves, new, 2 * v)
+        if root >> 1 == v:
+            return None
         ref, f0, f1 = self.ref, self.f0, self.f1
         n = len(f0)
-        key = (f0[v], f1[v])
-        own_key = self.strash.get(key) == 2 * v
-        if own_key:
-            del self.strash[key]
-        root = self._build(expr, leaves) ^ (1 if root_compl else 0)
-        gain = None if root >> 1 == v else len(freed)
+        added = list(new)
+        counts = dict(counts)
         stack = [root >> 1] * ref[v]
-        while stack and gain is not None:
+        while stack:
             u = stack.pop()
-            r = counts.get(u, ref[u])
+            r = counts.get(u, ref[u] if u < n else 0)
             counts[u] = r + 1
             if r == 0 and u > self.n_inputs:
                 gain -= 1
                 if gain < min_gain:
-                    gain = None
-                stack.append(f0[u] >> 1)
-                stack.append(f1[u] >> 1)
-        if gain is not None and commit:
-            for u, r in counts.items():
-                ref[u] = r
-            self.repl[v] = root
-            return gain
-        for u in range(n, len(f0)):
-            del self.strash[(f0[u], f1[u])]
-        del f0[n:], f1[n:], ref[n:], self.level[n:]
-        if own_key:
-            self.strash[key] = 2 * v
-        return gain
+                    return None
+                a, b = (f0[u], f1[u]) if u < n else added[u - n]
+                stack.append(a >> 1)
+                stack.append(b >> 1)
+        return gain, root, new, counts
+
+    def commit(self, v: int, trial) -> None:
+        """Applies ``trial``, scored for ``v`` on the net as it is now."""
+        _, root, new, counts = trial
+        f0, f1, ref, level = self.f0, self.f1, self.ref, self.level
+        key = (f0[v], f1[v])
+        if self.strash.get(key) == 2 * v:
+            del self.strash[key]
+        self.strash.update(new)
+        for a, b in new:
+            f0.append(a)
+            f1.append(b)
+            ref.append(0)
+            level.append(1 + max(level[a >> 1], level[b >> 1]))
+        for u, r in counts.items():
+            ref[u] = r
+        self.repl[v] = root
 
     # -- final rebuild --------------------------------------------------------
 
@@ -448,17 +452,16 @@ def rewrite(aig: Aig, zero_cost: bool = False) -> Aig:
 
     def visit(net: _Net, v: int, min_gain: int) -> None:
         deref = net._deref(v)
-        best_cut = None
+        best = None
         limit = min_gain  # ties go to the earlier cut
         for leaves, tt in cuts[v][1:]:
             expr = _resynth(tt, len(leaves))
             lits = [net.resolve(2 * w) for w in leaves]
-            gain = net.try_replace(v, deref, expr, lits, limit, commit=False)
-            if gain is not None:
-                limit = gain + 1
-                best_cut = (expr, lits)
-        if best_cut is not None:
-            net.try_replace(v, deref, best_cut[0], best_cut[1], min_gain)
+            trial = net.trial(v, deref, expr, lits, limit)
+            if trial is not None:
+                best, limit = trial, trial[0] + 1
+        if best is not None:
+            net.commit(v, best)
 
     return _sweep(aig, zero_cost, visit)
 
@@ -545,7 +548,9 @@ def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
                 or memo[v] is None:
             return
         expr = _resynth(memo[v], len(leaves))
-        net.try_replace(v, deref, expr, [2 * w for w in leaves], min_gain)
+        trial = net.trial(v, deref, expr, [2 * w for w in leaves], min_gain)
+        if trial is not None:
+            net.commit(v, trial)
 
     return _sweep(aig, zero_cost, visit)
 
@@ -559,36 +564,25 @@ def _resub_window(net: _Net, v: int):
 
     Shrinks the depth bound until the leaf count fits the truth-table cap.
     """
-    for depth in range(_RESUB_WINDOW_DEPTH, 0, -1):
-        window = _window_above(net, v, net.level[v] - depth)
-        if window is not None:
-            return window
+    for cutoff in range(net.level[v] - _RESUB_WINDOW_DEPTH, net.level[v]):
+        interior: list[int] = []
+        leaves: list[int] = []
+        seen, stack = {v}, [v]
+        while stack and len(leaves) <= _RESUB_LEAF_CAP:
+            u = stack.pop()
+            for f in (net.f0[u], net.f1[u]):
+                w = net.resolve(f) >> 1
+                if w in seen:
+                    continue
+                seen.add(w)
+                if w > net.n_inputs and net.level[w] > cutoff:
+                    interior.append(w)
+                    stack.append(w)
+                elif w != 0:
+                    leaves.append(w)
+        if len(leaves) <= _RESUB_LEAF_CAP:
+            return sorted(interior), sorted(leaves)
     return [], []
-
-
-def _window_above(net: _Net, v: int, cutoff: int):
-    """The fanin window of ``v`` whose interior nodes lie above level
-    ``cutoff``, as in ``_resub_window``; None once its leaves pass
-    ``_RESUB_LEAF_CAP``."""
-    interior: list[int] = []
-    leaves: list[int] = []
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for f in (net.f0[u], net.f1[u]):
-            w = net.resolve(f) >> 1
-            if w in seen:
-                continue
-            seen.add(w)
-            if w > net.n_inputs and net.level[w] > cutoff:
-                interior.append(w)
-                stack.append(w)
-            elif w != 0:
-                leaves.append(w)
-                if len(leaves) > _RESUB_LEAF_CAP:
-                    return None
-    return sorted(interior), sorted(leaves)
 
 
 _RESUB_SIDE_CAP = 32
@@ -620,8 +614,11 @@ def _side_divisors(net: _Net, v: int, interior: list[int], leaves: list[int],
     return admitted
 
 
-_RESUB_EXPRS = {1: ("var", 0, False),
-                2: ("and", ("var", 0, False), ("var", 1, False))}
+# By (divisor count, complemented): the candidate over the divisor literals.
+_RESUB_EXPRS = {(1, False): ("var", 0, False),
+                (1, True): ("var", 0, True),
+                (2, False): ("and", ("var", 0, False), ("var", 1, False)),
+                (2, True): ("or", ("var", 0, True), ("var", 1, True))}
 
 
 def _resub_pairs(divisors: list[tuple[int, int]], tt_v: int, ones: int):
@@ -706,11 +703,13 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
         divisors = [(r, memo[r >> 1] ^ ones if r & 1 else memo[r >> 1])
                     for r in divisor_lits if memo[r >> 1] is not None]
         comp_v = tt_v ^ ones
-        singles = [([r if t == tt_v else r ^ 1], False)
+        singles = [([r], t == comp_v)
                    for r, t in divisors if t == tt_v or t == comp_v]
         for lits, compl in chain(singles, _resub_pairs(divisors, tt_v, ones)):
-            if net.try_replace(v, deref, _RESUB_EXPRS[len(lits)], lits,
-                               min_gain, root_compl=compl) is not None:
+            trial = net.trial(v, deref, _RESUB_EXPRS[len(lits), compl], lits,
+                              min_gain)
+            if trial is not None:
+                net.commit(v, trial)
                 return
 
     return _sweep(aig, zero_cost, visit)

@@ -86,6 +86,13 @@ def test_generator_size_bounds(family, size):
         generate_circuit(family, size)
 
 
+def test_random_dag_rejects_negative_seed():
+    # random.Random seeds with abs(seed): seed -1 would build seed 1's ANDs
+    # under another name.
+    with pytest.raises(ValueError, match="seed"):
+        random_dag(30, seed=-1)
+
+
 def test_unknown_family():
     with pytest.raises(ValueError, match="family"):
         generate_circuit("nand_grid", 3)

@@ -297,7 +297,8 @@ def test_train_without_epochs_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, field", [
     ("--d-hidden", "0", "d_hidden"), ("--gcn-layers", "0", "gcn_layers"),
     ("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
-    ("--lr", "0", "learning_rate"), ("--lr", "-1", "learning_rate")])
+    ("--lr", "0", "learning_rate"), ("--lr", "-1", "learning_rate"),
+    ("--seed", "-1", "seed")])
 def test_train_size_or_rate_out_of_range_exits_two(tmp_path, capsys, flag,
                                                    value, field):
     circuit = tmp_path / "a.aag"
@@ -309,6 +310,25 @@ def test_train_size_or_rate_out_of_range_exits_two(tmp_path, capsys, flag,
     err = _assert_one_line_error(capsys)
     assert field in err
     assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "search"])
+def test_negative_seed_exits_two(tmp_path, capsys, command):
+    # random.Random seeds with abs(seed), so -1 would silently alias seed 1.
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    out = tmp_path / "r"
+    if command == "gen":
+        argv = ["gen", "--family", "random_dag", "--size", "30",
+                "--out", str(out)]
+    else:
+        argv = ["search", "--aig", str(circuit), "--alpha", "0",
+                "--budget", "4", "--k", "2", "--out-dir", str(out)]
+    capsys.readouterr()
+    assert run([*argv, "--seed", "-1"]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "seed" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -454,12 +454,14 @@ def test_recipe_outputs_match_parent_digest():
 # Trial replacements
 # ---------------------------------------------------------------------------
 
-def _rewrite_trials():
+def _rewrite_visits():
     """Walks a zero-cost rewrite over the ``_PASS_DIGESTS`` circuits and
-    ``random_dag(400, seed=0)``, yielding ``(net, v, deref, expr, leaves)``
-    for every cut of every visited AND, where ``deref`` is the visit's one
-    ``_deref(v)``; after its cuts, each AND takes its best replacement, so
-    later trials see replaced nodes and negative counts."""
+    ``random_dag(400, seed=0)``, yielding ``(net, v, deref, cands, best)``
+    for every visited AND, where ``deref`` is the visit's one ``_deref(v)``,
+    ``cands`` lists ``(expr, leaves)`` per cut and ``best`` is ``(trial,
+    expr, leaves)`` for the trial rewrite keeps, or None; after the visit,
+    the AND takes that trial, so later visits see replaced nodes and
+    negative counts."""
     from aigopt.bench import (array_multiplier, comparator, mux_tree,
                               random_dag, ripple_adder)
 
@@ -471,17 +473,27 @@ def _rewrite_trials():
             if net.ref[v] == 0 or v in net.repl:
                 continue
             deref = net._deref(v)
+            cands = []
             best = None
+            limit = 0  # as in rewrite: ties go to the earlier cut
             for leaves, tt in cuts[v][1:]:
                 expr = transforms._resynth(tt, len(leaves))
                 lits = [net.resolve(2 * w) for w in leaves]
-                yield net, v, deref, expr, lits
-                gain = net.try_replace(v, deref, expr, lits, 0, commit=False)
-                if gain is not None and (best is None or gain > best[0]):
-                    best = (gain, expr, lits)
+                cands.append((expr, lits))
+                trial = net.trial(v, deref, expr, lits, limit)
+                if trial is not None:
+                    best, limit = (trial, expr, lits), trial[0] + 1
+            yield net, v, deref, cands, best
             if best is not None:
-                assert net.try_replace(v, deref, best[1], best[2], 0) \
-                    == best[0]
+                net.commit(v, best[0])
+
+
+def _rewrite_trials():
+    """``(net, v, deref, expr, leaves)`` for every cut of every AND that
+    ``_rewrite_visits`` visits."""
+    for net, v, deref, cands, _ in _rewrite_visits():
+        for expr, lits in cands:
+            yield net, v, deref, expr, lits
 
 
 def _net_state(net):
@@ -489,20 +501,28 @@ def _net_state(net):
             dict(net.strash), dict(net.repl))
 
 
+def _copy_net(net):
+    copied = copy.copy(net)
+    copied.f0, copied.f1 = list(net.f0), list(net.f1)
+    copied.ref, copied.level = list(net.ref), list(net.level)
+    copied.strash, copied.repl = dict(net.strash), dict(net.repl)
+    return copied
+
+
 def test_trial_replacement_leaves_net_unchanged():
-    # Neither a trial that does not commit nor one whose gain falls short
-    # of min_gain may leave a trace: counts, appended nodes, strash entries,
-    # or the shared deref walk that the visit's other trials reuse.
+    # Neither a trial nor one whose gain falls short of min_gain may leave
+    # a trace: counts, appended nodes, strash entries, or the shared deref
+    # walk that the visit's other trials reuse.
     trials = negative_counts = 0
     for net, v, deref, expr, lits in _rewrite_trials():
         negative_counts += min(net.ref) < 0
         before = _net_state(net)
         walk = (dict(deref[0]), list(deref[1]))
         assert walk == net._deref(v)
-        gain = net.try_replace(v, deref, expr, lits, 0, commit=False)
+        trial = net.trial(v, deref, expr, lits, 0)
         assert _net_state(net) == before and deref == walk
-        short_of = 0 if gain is None else gain + 1
-        assert net.try_replace(v, deref, expr, lits, short_of) is None
+        short_of = 0 if trial is None else trial[0] + 1
+        assert net.trial(v, deref, expr, lits, short_of) is None
         assert _net_state(net) == before and deref == walk
         trials += 1
     assert trials > 2000 and negative_counts > 0
@@ -516,18 +536,40 @@ def test_committed_gain_equals_live_count_drop():
 
     commits = negative = 0
     for net, v, deref, expr, lits in _rewrite_trials():
-        trial = copy.copy(net)
-        trial.f0, trial.f1 = list(net.f0), list(net.f1)
-        trial.ref, trial.level = list(net.ref), list(net.level)
-        trial.strash, trial.repl = dict(net.strash), dict(net.repl)
-        before = live(trial)
-        gain = trial.try_replace(v, deref, expr, lits, -len(net.ref))
-        if gain is None:
+        copied = _copy_net(net)
+        before = live(copied)
+        trial = copied.trial(v, deref, expr, lits, -len(net.ref))
+        if trial is None:
             continue  # the candidate is v itself
-        assert before - live(trial) == gain
+        copied.commit(v, trial)
+        assert before - live(copied) == trial[0]
         commits += 1
-        negative += gain < 0
+        negative += trial[0] < 0
     assert commits > 2000 and negative > 0
+
+
+def test_kept_trial_commits_like_a_fresh_trial_at_min_gain():
+    # Rewrite commits the trial it kept, scored at the limit its earlier
+    # cuts set, instead of building the winner again at the visit's
+    # min_gain: both commits must leave the same net. So a trial that
+    # passes its limit may not depend on it, even at a limit equal to the
+    # gain its walk ends at.
+    commits = at_limit = 0
+    for net, v, deref, cands, best in _rewrite_visits():
+        for expr, lits in cands:
+            loose = net.trial(v, deref, expr, lits, -len(net.ref))
+            if loose is not None and loose[0] < len(deref[1]):
+                assert net.trial(v, deref, expr, lits, loose[0]) == loose
+                at_limit += 1
+        if best is None:
+            continue
+        kept, expr, lits = best
+        by_kept, by_fresh = _copy_net(net), _copy_net(net)
+        by_kept.commit(v, kept)
+        by_fresh.commit(v, by_fresh.trial(v, deref, expr, lits, 0))
+        assert _net_state(by_kept) == _net_state(by_fresh)
+        commits += 1
+    assert commits > 300 and at_limit > 100
 
 
 # ---------------------------------------------------------------------------
