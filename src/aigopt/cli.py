@@ -137,9 +137,9 @@ def cmd_search(args) -> tuple[Path, list[str]]:
                           recipe_len=args.recipe_len)
     evaluator = RecipeEvaluator(aig, budget=args.budget,
                                 measure_time=args.measure_time)
+    result = generate_recipe(evaluator, mcts_cfg, policy=net)
     out_dir = _resolve_path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = generate_recipe(evaluator, mcts_cfg, policy=net)
     print(f"recipe: {result.recipe}")
     print(f"final adp: {result.final_qor:g}  "
           f"best adp: {result.best_qor:g}  "

@@ -249,38 +249,47 @@ def search(evaluator: RecipeEvaluator, prefix: tuple[Action, ...],
 
 @dataclass
 class RecipeResult:
+    """``levels`` holds one ``(prefix, pi)`` per recipe level, in order: the
+    committed prefix searched at that level and the root visit distribution
+    that search left, whose argmax extends the prefix."""
+
     recipe: Recipe
     final_qor: float
     best_qor: float
     best_recipe: Recipe
     exhausted: bool
+    levels: list[tuple[tuple[Action, ...], list[float]]]
 
 
 def generate_recipe(evaluator: RecipeEvaluator, config: MctsConfig,
-                    policy=None, collect=None) -> RecipeResult:
+                    policy=None) -> RecipeResult:
     """Builds a full recipe for ``evaluator.root`` by running a search at
     each level and committing the visit-count argmax, descending into the
     committed child. The evaluator carries the synthesis budget, and its
     ``calls``, ``cache_hits`` and ``trace`` are the record of the run.
 
     When alpha > 0 the policy encodes the circuit once, and each new tree
-    node gets ``policy.priors`` of that embedding. Reports the committed
-    recipe's QoR and the best QoR seen: the first trace row with the
-    smallest ADP proxy, unless the committed recipe is better. ``collect``
-    (if given) receives (prefix, pi) after each level, for training data.
+    node gets ``policy.priors`` of that embedding; a recipe longer than the
+    policy's is a ValueError, raised before any synthesis call. Reports the
+    committed recipe's QoR and the best QoR seen: the first trace row with
+    the smallest ADP proxy, unless the committed recipe is better.
     """
     prior = None
     if policy is not None and config.alpha > 0.0:
+        if config.recipe_len > policy.config.recipe_len:
+            raise ValueError(
+                f"recipe length {config.recipe_len} is longer than the "
+                f"model's recipe length {policy.config.recipe_len}")
         prior = partial(policy.priors, policy.encode_aig(evaluator.root))
     rng = random.Random(config.seed)
     node = SearchNode()
     prefix: tuple[Action, ...] = ()
+    levels = []
     exhausted = False
     for _ in range(config.recipe_len):
         result = search(evaluator, prefix, node, config, prior, rng)
         exhausted = exhausted or result.exhausted
-        if collect is not None:
-            collect(prefix, result.pi)
+        levels.append((prefix, result.pi))
         action = result.action
         prefix = prefix + (action,)
         node = node.children.get(int(action)) or SearchNode()
@@ -292,4 +301,5 @@ def generate_recipe(evaluator: RecipeEvaluator, config: MctsConfig,
     else:
         best, best_recipe = final, Recipe(prefix)
     return RecipeResult(recipe=Recipe(prefix), final_qor=final, best_qor=best,
-                        best_recipe=best_recipe, exhausted=exhausted)
+                        best_recipe=best_recipe, exhausted=exhausted,
+                        levels=levels)

@@ -115,26 +115,18 @@ def node_features(aig: Aig) -> np.ndarray:
     Columns: one-hot kind (const/PI/and2), complemented-fanin count / 2,
     level / depth, fanout / max fanout. Shape [n_nodes, 6].
     """
-    n = aig.n_nodes
-    feats = np.zeros((n, NODE_FEATURES), dtype=np.float64)
-    feats[0, 0] = 1.0
-    for i in range(1, 1 + aig.n_inputs):
-        feats[i, 1] = 1.0
-    depth = aig.depth
-    levels = aig.levels
-    fanouts = aig.fanout_counts
-    max_fanout = max(fanouts) if fanouts else 0
     base = aig.first_and()
-    for k, (f0, f1) in enumerate(aig.ands):
-        i = base + k
-        feats[i, 2] = 1.0
-        feats[i, 3] = ((f0 & 1) + (f1 & 1)) / 2.0
-    if depth > 0:
-        for i in range(n):
-            feats[i, 4] = levels[i] / depth
-    if max_fanout > 0:
-        for i in range(n):
-            feats[i, 5] = fanouts[i] / max_fanout
+    feats = np.zeros((aig.n_nodes, NODE_FEATURES), dtype=np.float64)
+    feats[0, 0] = 1.0
+    feats[1:base, 1] = 1.0
+    feats[base:, 2] = 1.0
+    ands = np.array(aig.ands, dtype=np.int64).reshape(-1, 2)
+    feats[base:, 3] = (ands & 1).sum(axis=1) / 2.0
+    if aig.depth > 0:
+        feats[:, 4] = np.array(aig.levels) / aig.depth
+    fanouts = np.array(aig.fanout_counts)
+    if fanouts.max() > 0:
+        feats[:, 5] = fanouts / fanouts.max()
     return feats
 
 
@@ -489,12 +481,10 @@ def train(net: PolicyNetwork, circuits: list[Aig],
                 iterations=cfg.k_iterations, alpha=1.0,
                 seed=cfg.seed * 1_000_003 + epoch * 1009 + ci,
                 recipe_len=recipe_len)
-
-            def collect(prefix, pi, _name=aig.name):
-                buffer.add(Experience(_name, tuple(prefix), tuple(pi)))
-
-            generate_recipe(RecipeEvaluator(aig), search_cfg, policy=net,
-                            collect=collect)
+            result = generate_recipe(RecipeEvaluator(aig), search_cfg,
+                                     policy=net)
+            for prefix, pi in result.levels:
+                buffer.add(Experience(aig.name, prefix, tuple(pi)))
         batch = buffer.sample(recipe_len * n_tr, rng)
         value, grads = net.loss_and_grads(batch, aigs_by_id)
         adam.step(grads)

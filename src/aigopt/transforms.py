@@ -98,7 +98,9 @@ RESYN2 = Recipe.parse("b,rw,rf,b,rw,rwz,b,rfz,rwz,b")
 
 class _Net:
     """Reference-counted AND graph used inside a structural pass. A trial's
-    nodes and counts live in an overlay, and only ``commit`` writes the net.
+    nodes and counts live in an overlay. Only ``commit(v, ...)``, during
+    ``v``'s visit, writes the net: it appends the trial's ANDs, writes its
+    counts into ``ref`` and sets ``repl[v]``.
 
     ``ref`` counts the references from the outputs and from the unresolved
     fanins of nodes with a positive count. A replaced node keeps its old
@@ -127,17 +129,12 @@ class _Net:
     # -- resolution ---------------------------------------------------------
 
     def resolve(self, lit: int) -> int:
-        v = lit >> 1
-        r = self.repl.get(v)
-        if r is None:
-            return lit
-        while True:
-            nxt = self.repl.get(r >> 1)
-            if nxt is None:
-                break
-            r = nxt ^ (r & 1)
-        self.repl[v] = r
-        return r ^ (lit & 1)
+        """``lit`` through the replacements, which it only reads."""
+        r = self.repl.get(lit >> 1)
+        while r is not None:
+            lit = r ^ (lit & 1)
+            r = self.repl.get(lit >> 1)
+        return lit
 
     # -- candidate construction ----------------------------------------------
 
@@ -263,16 +260,16 @@ class _Net:
 
 
 def _sweep(aig: Aig, zero_cost: bool, visit) -> Aig:
-    """Calls ``visit(net, v, min_gain)`` on each live, unreplaced AND node of
-    a working copy of ``aig``, then rebuilds it; returns ``aig`` itself when
-    the rebuild holds more ANDs."""
+    """Calls ``visit(net, v, min_gain)`` on every AND of a working copy of
+    ``aig``, in index order, then rebuilds it; returns ``aig`` itself when
+    the rebuild holds more ANDs. Each AND is live and unreplaced at its
+    visit: an ``Aig`` keeps only reachable ANDs, a visit lowers only counts
+    at or below its own node, and only ``v``'s commit sets ``repl[v]``."""
     if not aig.ands:
         return aig
     net = _Net(aig)
     min_gain = 0 if zero_cost else 1
     for v in range(aig.first_and(), aig.n_nodes):
-        if net.ref[v] == 0 or v in net.repl:
-            continue
         visit(net, v, min_gain)
     result = net.to_aig(aig.name)
     return result if len(result.ands) <= len(aig.ands) else aig

@@ -202,6 +202,29 @@ def test_parallel_jobs_match_serial():
     assert serial.aggregates == parallel.aggregates
 
 
+def test_first_guided_run_longer_than_model_fails_before_synthesis(
+        monkeypatch):
+    # The pure run synthesizes; the guided run after it raises before its
+    # own first synthesis call.
+    from aigopt import bench
+
+    evaluators = []
+
+    class Recorded(bench.RecipeEvaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            evaluators.append(self)
+
+    monkeypatch.setattr(bench, "RecipeEvaluator", Recorded)
+    net = PolicyNetwork(PolicyConfig(d_hidden=8, d_emb=4, d_head=8,
+                                     gcn_layers=2, seed=0, recipe_len=10))
+    methods = [method("pure_mcts"), method("agent_guided")]
+    with pytest.raises(ValueError, match="recipe length 12"):
+        evaluate(methods, {"add3": ripple_adder(3)}, policy=net, budget=6,
+                 mcts_cfg=MctsConfig(iterations=4, recipe_len=12))
+    assert [ev.calls for ev in evaluators] == [6, 0]
+
+
 def test_grid_runs_each_pass_once(pass_runs):
     # Every (circuit structure, pass) pair runs once across the grid, so
     # resyn2 runs once per circuit, not once per (method, seed).

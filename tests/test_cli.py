@@ -251,7 +251,20 @@ def test_recipe_longer_than_model_exits_two(tmp_path, capsys, command):
                 "--budget", "4", "--k", "2",
                 "--out-dir", str(tmp_path / "r")]) == 2
     err = _assert_one_line_error(capsys)
-    assert "recipe length 10" in err
+    assert "recipe length 12" in err and "recipe length 10" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_unguided_search_longer_than_model_runs(tmp_path):
+    # alpha 0 never asks the model for a prior, so its length does not apply
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    model, _ = _tiny_model_and_bank(tmp_path, circuit)  # recipe length 10
+    assert run(["search", "--aig", str(circuit), "--alpha", "0",
+                "--model", str(model), "--recipe-len", "12", "--budget", "4",
+                "--k", "2", "--out-dir", str(tmp_path / "r")]) == 0
+    result = json.loads((tmp_path / "r" / "result.json").read_text())
+    assert len(result["recipe"].split(",")) == 12
 
 
 @pytest.mark.parametrize("flag, value", [("--budget", "0"), ("--budget", "-1"),

@@ -18,7 +18,7 @@ from aigopt.mcts import (
     uct,
 )
 from aigopt.qor import baseline_qor, qor
-from aigopt.transforms import Action, apply
+from aigopt.transforms import N_ACTIONS, Action, apply
 
 
 class FakeEvaluator:
@@ -386,6 +386,28 @@ def test_guided_search_encodes_the_circuit_once(monkeypatch):
     generate_recipe(RecipeEvaluator(g, budget=25),
                     MctsConfig(iterations=10, seed=7, alpha=0.0), policy=net)
     assert calls == {"encode_aig": 0, "priors": 0}
+
+
+def test_levels_hold_each_level_prefix_and_visit_distribution():
+    g = random_dag(80, seed=4)
+    cfg = MctsConfig(iterations=12, seed=6, recipe_len=6)
+    result = generate_recipe(RecipeEvaluator(g, budget=40), cfg)
+    assert len(result.levels) == cfg.recipe_len
+    for i, (prefix, pi) in enumerate(result.levels):
+        assert prefix == result.recipe.actions[:i]
+        assert len(pi) == N_ACTIONS
+        assert abs(sum(pi) - 1.0) <= 1e-12
+
+
+def test_recipe_longer_than_policy_raises_before_synthesis():
+    from aigopt.policy import PolicyConfig, PolicyNetwork
+
+    net = PolicyNetwork(PolicyConfig(d_hidden=8, seed=0, recipe_len=10))
+    evaluator = RecipeEvaluator(ripple_adder(3), budget=50)
+    cfg = MctsConfig(iterations=4, alpha=1.0, recipe_len=12)
+    with pytest.raises(ValueError, match="recipe length 12 .* recipe length 10"):
+        generate_recipe(evaluator, cfg, policy=net)
+    assert evaluator.calls == 0 and not evaluator.trace
 
 
 def test_alpha_requires_policy():

@@ -470,8 +470,6 @@ def _rewrite_visits():
         cuts = transforms._enumerate_cuts(g)
         net = transforms._Net(g)
         for v in range(g.first_and(), g.n_nodes):
-            if net.ref[v] == 0 or v in net.repl:
-                continue
             deref = net._deref(v)
             cands = []
             best = None
@@ -572,8 +570,34 @@ def test_kept_trial_commits_like_a_fresh_trial_at_min_gain():
     assert commits > 300 and at_limit > 100
 
 
-# ---------------------------------------------------------------------------
-# Pass memo
+def test_every_sweep_visit_finds_its_and_live_and_unreplaced(
+        monkeypatch, corpus_small):
+    # _sweep visits every AND with no skip: earlier visits never free a
+    # later AND, replace it or take its strash key.
+    import random
+
+    sweep = transforms._sweep
+    visits = []
+
+    def checked_sweep(aig, zero_cost, visit):
+        def checked(net, v, min_gain):
+            assert net.ref[v] > 0 and v not in net.repl
+            assert net.strash[(net.f0[v], net.f1[v])] == 2 * v
+            visits.append(v)
+            visit(net, v, min_gain)
+        return sweep(aig, zero_cost, checked)
+
+    monkeypatch.setattr(transforms, "_sweep", checked_sweep)
+    swept = [a for a in Action if a != Action.BALANCE]
+    rng = random.Random(17)
+    for g in corpus_small:
+        for action in swept:
+            transforms._PASSES[action](g)
+        for _ in range(2):
+            current = g
+            for action in rng.choices(list(Action), k=10):
+                current = transforms._PASSES[action](current)
+    assert len(visits) > 10000
 # ---------------------------------------------------------------------------
 
 def test_memo_shares_equal_circuits(fresh_memo, pass_runs):
