@@ -3,13 +3,11 @@
 from .aig import (
     Aig,
     AigBuilder,
-    AigStats,
     AigerError,
     Equivalence,
     SequentialCircuitError,
     equivalent,
     parse_aiger,
-    stats,
     write_aiger,
 )
 from .transforms import Action, Recipe, apply, apply_recipe
@@ -17,7 +15,6 @@ from .transforms import Action, Recipe, apply, apply_recipe
 __all__ = [
     "Aig",
     "AigBuilder",
-    "AigStats",
     "AigerError",
     "Equivalence",
     "SequentialCircuitError",
@@ -27,6 +24,5 @@ __all__ = [
     "apply_recipe",
     "equivalent",
     "parse_aiger",
-    "stats",
     "write_aiger",
 ]

@@ -3,21 +3,16 @@
 An AIG is stored as a flat node table. Node 0 is the constant-false node,
 nodes 1..I are the primary inputs, and the remaining nodes are two-input
 ANDs in topological order. Edges are encoded as AIGER-style literals:
-``lit = 2 * node_index + complement``.
+``lit = 2 * node_index + complement``, so 0 is false and 1 is true.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-
 from .isop import var_mask
-
-CONST_FALSE = 0  # literal of the constant-false node
-CONST_TRUE = 1
 
 EXHAUSTIVE_INPUT_LIMIT = 16  # 2^16 vectors is still sub-second
 MAX_AIGER_VAR = 1 << 24  # largest header M the reader accepts
@@ -29,22 +24,6 @@ class AigerError(ValueError):
 
 class SequentialCircuitError(AigerError):
     """Input circuit contains latches; only combinational AIGs are supported."""
-
-
-def make_lit(index: int, complement: bool = False) -> int:
-    return 2 * index + (1 if complement else 0)
-
-
-def lit_not(lit: int) -> int:
-    return lit ^ 1
-
-
-@dataclass(frozen=True)
-class AigStats:
-    node_count: int
-    depth: int
-    input_count: int
-    output_count: int
 
 
 class Equivalence(NamedTuple):
@@ -127,39 +106,36 @@ class AigBuilder:
     def pi(self, i: int) -> int:
         if not 0 <= i < self.n_inputs:
             raise IndexError(f"primary input {i} out of range")
-        return make_lit(1 + i)
-
-    def const(self, value: bool = False) -> int:
-        return CONST_TRUE if value else CONST_FALSE
+        return 2 * (1 + i)
 
     def and_(self, a: int, b: int) -> int:
         if a > b:
             a, b = b, a
-        if a == CONST_FALSE:
-            return CONST_FALSE
-        if a == CONST_TRUE:
+        if a == 0:
+            return 0
+        if a == 1:
             return b
         if a == b:
             return a
         if a == (b ^ 1):
-            return CONST_FALSE
+            return 0
         hit = self._strash.get((a, b))
         if hit is not None:
             return hit
         index = 1 + self.n_inputs + len(self._ands)
         self._ands.append((a, b))
-        lit = make_lit(index)
+        lit = 2 * index
         self._strash[(a, b)] = lit
         return lit
 
     def or_(self, a: int, b: int) -> int:
-        return lit_not(self.and_(lit_not(a), lit_not(b)))
+        return self.and_(a ^ 1, b ^ 1) ^ 1
 
     def xor_(self, a: int, b: int) -> int:
-        return self.or_(self.and_(a, lit_not(b)), self.and_(lit_not(a), b))
+        return self.or_(self.and_(a, b ^ 1), self.and_(a ^ 1, b))
 
     def mux_(self, sel: int, hi: int, lo: int) -> int:
-        return self.or_(self.and_(sel, hi), self.and_(lit_not(sel), lo))
+        return self.or_(self.and_(sel, hi), self.and_(sel ^ 1, lo))
 
     def add_cones(self, roots, fanins, lits: dict[int, int]) -> None:
         """Adds the cones of the nodes ``roots`` in post-order, pushing a
@@ -207,11 +183,11 @@ class AigBuilder:
             if not reachable[first_and + k]:
                 remap.append(-1)
                 continue
-            kept.append((make_lit(remap[f0 >> 1], bool(f0 & 1)),
-                         make_lit(remap[f1 >> 1], bool(f1 & 1))))
+            kept.append((2 * remap[f0 >> 1] + (f0 & 1),
+                         2 * remap[f1 >> 1] + (f1 & 1)))
             remap.append(next_index)
             next_index += 1
-        new_outputs = [make_lit(remap[o >> 1], bool(o & 1)) for o in outputs]
+        new_outputs = [2 * remap[o >> 1] + (o & 1) for o in outputs]
         return Aig(self.n_inputs, kept, new_outputs, self.name)
 
 
@@ -373,7 +349,7 @@ def _build_from_gates(inputs: list[int], outputs: list[int],
 
     builder = AigBuilder(len(inputs), name)
     lits = {var: builder.pi(slot) for var, slot in pi_slot.items()}
-    lits[0] = CONST_FALSE
+    lits[0] = 0
     # ASCII files may list gates out of order; build depth-first.
     try:
         builder.add_cones(gate_def, gate_def.__getitem__, lits)
@@ -436,9 +412,3 @@ def equivalent(a: Aig, b: Aig, budget: int = 1024, seed: int = 0) -> Equivalence
         words = [rng.getrandbits(budget) for _ in range(a.n_inputs)]
     return Equivalence(_output_words(a, words, width)
                        == _output_words(b, words, width), mode)
-
-
-def stats(aig: Aig) -> AigStats:
-    return AigStats(node_count=len(aig.ands), depth=aig.depth,
-                    input_count=aig.n_inputs, output_count=aig.n_outputs)
-

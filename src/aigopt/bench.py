@@ -17,16 +17,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .aig import Aig, AigBuilder
-from .mcts import MctsConfig, RecipeEvaluator, TraceRow, generate_recipe
+from .mcts import (MctsConfig, RecipeEvaluator, TraceRow, check_guided_length,
+                   generate_recipe)
 from .transforms import _MEMO
 
 if TYPE_CHECKING:
     from .ood import EmbeddingBank
 
 MAX_INPUTS = 24
-
-FAMILIES = ("ripple_adder", "array_multiplier", "comparator", "mux_tree",
-            "random_dag")
 
 
 def _full_adder(bld: AigBuilder, a: int, b: int, c: int) -> tuple[int, int]:
@@ -36,13 +34,20 @@ def _full_adder(bld: AigBuilder, a: int, b: int, c: int) -> tuple[int, int]:
     return s, carry
 
 
-def ripple_adder(n_bits: int) -> Aig:
+def _operands(family: str, n_bits: int) -> tuple[AigBuilder, list[int],
+                                                 list[int]]:
+    """The builder of an ``n_bits``-bit two-operand circuit and the literals
+    of its operands ``a`` (inputs 0..n-1) and ``b`` (inputs n..2n-1)."""
     if not 1 <= n_bits <= MAX_INPUTS // 2:
-        raise ValueError(f"ripple_adder size must be in [1, {MAX_INPUTS // 2}]")
-    bld = AigBuilder(2 * n_bits, f"ripple_adder_{n_bits}")
-    a = [bld.pi(i) for i in range(n_bits)]
-    b = [bld.pi(n_bits + i) for i in range(n_bits)]
-    carry = bld.const(False)
+        raise ValueError(f"{family} size must be in [1, {MAX_INPUTS // 2}]")
+    bld = AigBuilder(2 * n_bits, f"{family}_{n_bits}")
+    return (bld, [bld.pi(i) for i in range(n_bits)],
+            [bld.pi(n_bits + i) for i in range(n_bits)])
+
+
+def ripple_adder(n_bits: int) -> Aig:
+    bld, a, b = _operands("ripple_adder", n_bits)
+    carry = 0
     sums = []
     for i in range(n_bits):
         s, carry = _full_adder(bld, a[i], b[i], carry)
@@ -51,18 +56,13 @@ def ripple_adder(n_bits: int) -> Aig:
 
 
 def array_multiplier(n_bits: int) -> Aig:
-    if not 1 <= n_bits <= MAX_INPUTS // 2:
-        raise ValueError(
-            f"array_multiplier size must be in [1, {MAX_INPUTS // 2}]")
-    bld = AigBuilder(2 * n_bits, f"array_multiplier_{n_bits}")
-    a = [bld.pi(i) for i in range(n_bits)]
-    b = [bld.pi(n_bits + i) for i in range(n_bits)]
-    acc = [bld.const(False)] * (2 * n_bits)
+    bld, a, b = _operands("array_multiplier", n_bits)
+    acc = [0] * (2 * n_bits)
     for j in range(n_bits):
-        row = [bld.const(False)] * (2 * n_bits)
+        row = [0] * (2 * n_bits)
         for i in range(n_bits):
             row[i + j] = bld.and_(a[i], b[j])
-        carry = bld.const(False)
+        carry = 0
         nxt = []
         for k in range(2 * n_bits):
             s, carry = _full_adder(bld, acc[k], row[k], carry)
@@ -77,18 +77,14 @@ def comparator(n_bits: int) -> Aig:
     Built the schoolbook way: a < b when some bit has a_i < b_i while all
     higher bits agree, with each prefix-equality conjunction recomputed from
     scratch (so the passes have sharing to recover)."""
-    if not 1 <= n_bits <= MAX_INPUTS // 2:
-        raise ValueError(f"comparator size must be in [1, {MAX_INPUTS // 2}]")
-    bld = AigBuilder(2 * n_bits, f"comparator_{n_bits}")
-    a = [bld.pi(i) for i in range(n_bits)]
-    b = [bld.pi(n_bits + i) for i in range(n_bits)]
-    lt = bld.const(False)
+    bld, a, b = _operands("comparator", n_bits)
+    lt = 0
     for i in range(n_bits):
         term = bld.and_(a[i] ^ 1, b[i])
         for j in range(i + 1, n_bits):
             term = bld.and_(term, bld.xor_(a[j], b[j]) ^ 1)
         lt = bld.or_(lt, term)
-    eq = bld.const(True)
+    eq = 1
     for i in range(n_bits):
         eq = bld.and_(eq, bld.xor_(a[i], b[i]) ^ 1)
     return bld.finish([lt, eq])
@@ -150,22 +146,21 @@ def random_dag(size: int, seed: int = 0) -> Aig:
     return bld.finish(outputs)
 
 
+_GENERATORS = {f.__name__: f for f in (ripple_adder, array_multiplier,
+                                        comparator, mux_tree, random_dag)}
+FAMILIES = tuple(_GENERATORS)
+
+
 def generate_circuit(family: str, size: int, seed: int = 0) -> Aig:
     """Deterministic benchmark circuit; `size` is bits for the arithmetic
     families, select-line count for mux trees, and the node budget for
-    random DAGs."""
-    if family == "ripple_adder":
-        return ripple_adder(size)
-    if family == "array_multiplier":
-        return array_multiplier(size)
-    if family == "comparator":
-        return comparator(size)
-    if family == "mux_tree":
-        return mux_tree(size)
+    random DAGs, the only family that takes the seed."""
+    if family not in _GENERATORS:
+        raise ValueError(f"unknown circuit family {family!r}; "
+                         f"expected one of {FAMILIES}")
     if family == "random_dag":
         return random_dag(size, seed)
-    raise ValueError(f"unknown circuit family {family!r}; "
-                     f"expected one of {FAMILIES}")
+    return _GENERATORS[family](size)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +301,8 @@ def evaluate(methods: list[MethodSpec], circuits: dict[str, Aig],
     """Runs every method on every test circuit under the same synthesis
     budget and aggregates reductions, win ratios, and iso-QoR speedups
     (reference method: pure MCTS when present, else the first method).
-    Each run searches with ``mcts_cfg`` under its method's alpha and seed.
+    Each run searches with ``mcts_cfg`` under its method's alpha and seed;
+    a guided run's recipe length is checked before the first run starts.
 
     ``jobs`` > 1 fans the (circuit, method, seed) grid out to worker
     processes; results are merged back in deterministic grid order.
@@ -322,10 +318,12 @@ def evaluate(methods: list[MethodSpec], circuits: dict[str, Aig],
     for circuit_id in sorted(circuits):
         circuit = circuits[circuit_id]
         for spec in methods:
-            a = resolve_alpha(spec, circuit, policy, bank, delta_th)
+            cfg = dataclasses.replace(mcts_cfg, alpha=resolve_alpha(
+                spec, circuit, policy, bank, delta_th))
+            check_guided_length(cfg, policy)
             for seed in seeds:
                 runs.append((circuit, circuit_id, spec.name,
-                             dataclasses.replace(mcts_cfg, alpha=a, seed=seed),
+                             dataclasses.replace(cfg, seed=seed),
                              budget, policy, measure_time))
     if jobs > 1:
         # imported here: multiprocessing is slow to import for every run

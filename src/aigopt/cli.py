@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 from . import bench as bench_mod
-from .aig import parse_aiger, stats, write_aiger
+from .aig import parse_aiger, write_aiger
 from .mcts import MctsConfig, RecipeEvaluator, TraceRow, generate_recipe
 from .transforms import DEFAULT_RECIPE_LEN
 
@@ -45,9 +45,12 @@ def _resolve_path(raw: str) -> Path:
 
 
 def _git_describe() -> str:
+    """``git describe`` of the checkout holding this package, else
+    ``unknown``; never of the caller's working directory."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=10)
+                             cwd=Path(__file__).parent, capture_output=True,
+                             text=True, timeout=10)
         if out.returncode == 0:
             return out.stdout.strip()
     except OSError:
@@ -97,9 +100,8 @@ def cmd_gen(args) -> tuple[Path, list[str]]:
     out = _resolve_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(write_aiger(aig))
-    s = stats(aig)
-    print(f"{aig.name}: inputs={s.input_count} outputs={s.output_count} "
-          f"nodes={s.node_count} depth={s.depth} -> {out}")
+    print(f"{aig.name}: inputs={aig.n_inputs} outputs={aig.n_outputs} "
+          f"nodes={len(aig.ands)} depth={aig.depth} -> {out}")
     return out.with_suffix(out.suffix + ".manifest.json"), [str(out)]
 
 
@@ -247,7 +249,11 @@ def cmd_bench(args) -> tuple[Path, list[str]]:
     needs_gate = any(m.alpha is None for m in methods)
     if needs_gate and (not args.bank or args.delta_th is None):
         raise _UsageError("agent_ood requires --bank and --delta-th")
-    circuits = {p.stem: _load_circuit(p) for p in map(Path, args.test)}
+    circuits = {}
+    for path in map(Path, args.test):
+        if path.stem in circuits:
+            raise ValueError(f"test circuits repeat the name {path.stem!r}")
+        circuits[path.stem] = _load_circuit(path)
     net = _load_model(args.model) if args.model else None
     bank = None
     if args.bank:

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-from .aig import Aig, stats
+from .aig import Aig
 from .qor import baseline_qor, qor, reward
 from .transforms import DEFAULT_RECIPE_LEN, N_ACTIONS, Action, Recipe, apply
 
@@ -176,12 +176,12 @@ class RecipeEvaluator:
         start = time.perf_counter_ns() if self.measure_time else 0
         final = self.aig_for(prefix)
         wall = time.perf_counter_ns() - start if self.measure_time else 0
-        s = stats(final)
         adp = qor(final)
         value = reward(adp, self.baseline)
         self._rewards[prefix] = value
         self.trace.append(TraceRow(self.calls, str(Recipe(prefix)),
-                                   s.node_count, s.depth, adp, value, wall))
+                                   len(final.ands), final.depth, adp, value,
+                                   wall))
         self.calls += 1
         return value
 
@@ -247,6 +247,16 @@ def search(evaluator: RecipeEvaluator, prefix: tuple[Action, ...],
     return SearchResult(pi, Action(best), exhausted)
 
 
+def check_guided_length(config: MctsConfig, policy) -> None:
+    """Raises ValueError when a guided search (a policy and alpha > 0) asks
+    for a longer recipe than the policy's."""
+    if (policy is not None and config.alpha > 0.0
+            and config.recipe_len > policy.config.recipe_len):
+        raise ValueError(
+            f"recipe length {config.recipe_len} is longer than the "
+            f"model's recipe length {policy.config.recipe_len}")
+
+
 @dataclass
 class RecipeResult:
     """``levels`` holds one ``(prefix, pi)`` per recipe level, in order: the
@@ -274,12 +284,9 @@ def generate_recipe(evaluator: RecipeEvaluator, config: MctsConfig,
     committed recipe's QoR and the best QoR seen: the first trace row with
     the smallest ADP proxy, unless the committed recipe is better.
     """
+    check_guided_length(config, policy)
     prior = None
     if policy is not None and config.alpha > 0.0:
-        if config.recipe_len > policy.config.recipe_len:
-            raise ValueError(
-                f"recipe length {config.recipe_len} is longer than the "
-                f"model's recipe length {policy.config.recipe_len}")
         prior = partial(policy.priors, policy.encode_aig(evaluator.root))
     rng = random.Random(config.seed)
     node = SearchNode()

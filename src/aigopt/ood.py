@@ -64,9 +64,6 @@ class EmbeddingBank:
             raise ValueError("embedding contains non-finite values")
         self.entries.append((circuit_id, h))
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

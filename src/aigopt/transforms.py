@@ -19,9 +19,9 @@ import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import accumulate, chain
 
-from .aig import Aig, AigBuilder, AigStats, stats
+from .aig import Aig, AigBuilder
 from .isop import Expr, factor, isop, tt_ones, var_mask
 
 N_ACTIONS = 7
@@ -788,14 +788,10 @@ def apply(aig: Aig, action: Action) -> Aig:
 
 
 def apply_recipe(aig: Aig, recipe: Recipe,
-                 max_len: int = DEFAULT_RECIPE_LEN) -> tuple[Aig, list[AigStats]]:
+                 max_len: int = DEFAULT_RECIPE_LEN) -> tuple[Aig, list[Aig]]:
     """Applies a recipe sequentially, returning the final graph and the
-    per-step statistics trace."""
+    graph after each step."""
     if len(recipe) > max_len:
         raise ValueError(f"recipe length {len(recipe)} exceeds cap {max_len}")
-    current = aig
-    trace: list[AigStats] = []
-    for action in recipe:
-        current = apply(current, action)
-        trace.append(stats(current))
-    return current, trace
+    graphs = list(accumulate(recipe, apply, initial=aig))
+    return graphs[-1], graphs[1:]

@@ -10,7 +10,6 @@ from aigopt.aig import (
     SequentialCircuitError,
     equivalent,
     parse_aiger,
-    stats,
     write_aiger,
 )
 from aigopt.bench import array_multiplier, ripple_adder
@@ -27,17 +26,15 @@ def test_package_exports_resolve():
 
 def test_parse_constant_output():
     aig = parse_aiger(b"aag 0 0 0 1 0\n0\n")
-    s = stats(aig)
-    assert s.node_count == 0 and s.depth == 0
-    assert s.input_count == 0 and s.output_count == 1
+    assert len(aig.ands) == 0 and aig.depth == 0
+    assert aig.n_inputs == 0 and aig.n_outputs == 1
     assert aig.outputs == [0]
 
 
 def test_parse_single_and_gate():
     aig = parse_aiger(b"aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n")
-    s = stats(aig)
-    assert s.node_count == 1 and s.depth == 1
-    assert s.input_count == 2 and s.output_count == 1
+    assert len(aig.ands) == 1 and aig.depth == 1
+    assert aig.n_inputs == 2 and aig.n_outputs == 1
 
 
 def test_write_pi_wire_exact_bytes():
@@ -82,8 +79,7 @@ def test_parse_binary_single_and():
     # lhs=6, rhs0=4, rhs1=2: deltas 2 and 2
     data = b"aig 3 2 0 1 1\n6\n" + bytes([0x02, 0x02])
     aig = parse_aiger(data)
-    s = stats(aig)
-    assert s.node_count == 1 and s.input_count == 2
+    assert len(aig.ands) == 1 and aig.n_inputs == 2
     out = simulate(aig, np.array([[0, 0], [0, 1], [1, 0], [1, 1]]))
     assert out.ravel().tolist() == [0, 0, 0, 1]
 
@@ -332,25 +328,21 @@ def _recount_by_dfs(aig):
 
 def test_stats_examples():
     aig = parse_aiger(b"aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n")
-    s = stats(aig)
-    assert (s.node_count, s.depth) == (1, 1)
+    assert (len(aig.ands), aig.depth) == (1, 1)
     const = parse_aiger(b"aag 0 0 0 1 0\n0\n")
-    s = stats(const)
-    assert (s.node_count, s.depth) == (0, 0)
+    assert (len(const.ands), const.depth) == (0, 0)
 
 
 def test_stats_against_dfs_recount():
     aig = ripple_adder(8)
     nodes, depth = _recount_by_dfs(aig)
-    s = stats(aig)
-    assert s.node_count == nodes
-    assert s.depth == depth
+    assert len(aig.ands) == nodes
+    assert aig.depth == depth
 
 
 def test_depth_zero_iff_no_nodes(corpus):
     for aig in corpus:
-        s = stats(aig)
-        assert (s.depth == 0) == (s.node_count == 0), aig.name
+        assert (aig.depth == 0) == (len(aig.ands) == 0), aig.name
 
 
 def test_node_features_pi_row():

@@ -1,5 +1,8 @@
 import csv
 import json
+import shutil
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -568,6 +571,49 @@ def test_bench_repeated_method_exits_two(tmp_path, capsys):
     err = _assert_one_line_error(capsys)
     assert "pure_mcts" in err
     assert not (tmp_path / "r").exists()
+
+
+def test_bench_repeated_circuit_stem_exits_two(tmp_path, capsys):
+    # The grid keys circuits by file stem, so one c.aag would replace the
+    # other.
+    paths = []
+    for family, folder in (("ripple_adder", "x"), ("comparator", "y")):
+        path = tmp_path / folder / "c.aag"
+        run(["gen", "--family", family, "--size", "3", "--out", str(path)])
+        paths.append(str(path))
+    capsys.readouterr()
+    assert run(["bench", "--test", *paths, "--methods", "pure_mcts",
+                "--budget", "3", "--k", "2",
+                "--out-dir", str(tmp_path / "b")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "'c'" in err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+def test_manifest_describes_the_package_checkout(tmp_path, monkeypatch):
+    # Run from another repository, the manifest still names the checkout
+    # that holds aigopt (or "unknown" outside one), not the caller's.
+    import aigopt
+
+    other = tmp_path / "other"
+    other.mkdir()
+    for argv in (["init", "-q"], ["-c", "user.name=t", "-c", "user.email=t@t",
+                                  "commit", "-q", "--allow-empty", "-m", "x"]):
+        subprocess.run(["git", *argv], cwd=other, check=True)
+    other_head = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                                cwd=other, capture_output=True, text=True,
+                                check=True).stdout.strip()
+    own = subprocess.run(["git", "describe", "--always", "--dirty"],
+                         cwd=Path(aigopt.__file__).parent,
+                         capture_output=True, text=True)
+    expected = own.stdout.strip() if own.returncode == 0 else "unknown"
+    monkeypatch.chdir(other)
+    assert run(["gen", "--family", "ripple_adder", "--size", "3",
+                "--out", "c.aag"]) == 0
+    manifest = json.loads((other / "c.aag.manifest.json").read_text())
+    assert manifest["run"]["git_describe"] == expected
+    assert not expected.startswith(other_head)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -237,7 +237,7 @@ def test_bank_csv_roundtrip(tmp_path):
     path = tmp_path / "bank.csv"
     bank.save_csv(path)
     loaded = EmbeddingBank.load_csv(path)
-    assert len(loaded) == 5
+    assert len(loaded.entries) == 5
     for (id_a, h_a), (id_b, h_b) in zip(bank.entries, loaded.entries):
         assert id_a == id_b
         assert np.array_equal(h_a, h_b)

@@ -3,7 +3,7 @@ import copy
 import pytest
 
 from aigopt import transforms
-from aigopt.aig import Aig, AigBuilder, equivalent, parse_aiger, stats, write_aiger
+from aigopt.aig import Aig, AigBuilder, equivalent, parse_aiger, write_aiger
 from aigopt.transforms import (
     RESYN2,
     Action,
@@ -333,7 +333,8 @@ def test_apply_constant_circuit_unchanged():
     g = parse_aiger(b"aag 0 0 0 1 0\n0\n")
     for action in Action:
         h = apply(g, action)
-        assert stats(h) == stats(g)
+        assert ((len(h.ands), h.depth, h.n_inputs, h.n_outputs)
+                == (len(g.ands), g.depth, g.n_inputs, g.n_outputs))
 
 
 def test_apply_balance_on_chain():
@@ -371,7 +372,7 @@ def test_apply_recipe_trace_length():
     g = _and_chain(6)
     out, trace = apply_recipe(g, RESYN2)
     assert len(trace) == len(RESYN2)
-    assert trace[-1] == stats(out)
+    assert trace[-1] is out
 
 
 def test_baseline_recipe_reduces_adder():
