@@ -198,10 +198,10 @@ class AigBuilder:
 def parse_aiger(data: bytes, name: str = "") -> Aig:
     """Parses ASCII ("aag") or binary ("aig") AIGER bytes.
 
-    Latches are rejected (sequential unsupported), and so is a header M above
-    MAX_AIGER_VAR, before the body is read. The result is structurally
-    hashed and its nodes are in topological order; unreachable gates are
-    dropped.
+    Latches are rejected (sequential unsupported), and so are the AIGER 1.9
+    properties (nonzero B, C, J or F) and a header M above MAX_AIGER_VAR,
+    before the body is read. The result is structurally hashed and its
+    nodes are in topological order; unreachable gates are dropped.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("parse_aiger expects bytes")
@@ -209,16 +209,21 @@ def parse_aiger(data: bytes, name: str = "") -> Aig:
     if newline < 0:
         raise AigerError("missing AIGER header line")
     header = data[:newline].split()
-    if len(header) < 6 or header[0] not in (b"aag", b"aig"):
+    if not 6 <= len(header) <= 10 or header[0] not in (b"aag", b"aig"):
         raise AigerError(f"malformed header: {data[:newline]!r}")
     try:
-        maxvar, n_in, n_latch, n_out, n_and = (int(t) for t in header[1:6])
+        counts = [int(t) for t in header[1:]]
     except ValueError as exc:
         raise AigerError(f"malformed header: {data[:newline]!r}") from exc
-    if any(v < 0 for v in (maxvar, n_in, n_latch, n_out, n_and)):
+    if any(v < 0 for v in counts):
         raise AigerError("negative counts in header")
+    maxvar, n_in, n_latch, n_out, n_and = counts[:5]
     if n_latch > 0:
         raise SequentialCircuitError("sequential unsupported (latch count > 0)")
+    properties = [f"{k}={n}" for k, n in zip("BCJF", counts[5:]) if n]
+    if properties:
+        raise AigerError("AIGER 1.9 properties unsupported "
+                         f"({', '.join(properties)})")
     if maxvar > MAX_AIGER_VAR:
         raise AigerError(f"header maxvar {maxvar} exceeds the limit of "
                          f"{MAX_AIGER_VAR}")

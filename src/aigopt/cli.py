@@ -44,6 +44,13 @@ def _resolve_path(raw: str) -> Path:
     return path
 
 
+def _output_file(raw: str) -> Path:
+    """``_resolve_path(raw)``, with its parent directory made."""
+    path = _resolve_path(raw)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _git_describe() -> str:
     """``git describe`` of the checkout holding this package, else
     ``unknown``; never of the caller's working directory."""
@@ -97,8 +104,7 @@ def _write_trace_csv(path: Path, trace) -> None:
 
 def cmd_gen(args) -> tuple[Path, list[str]]:
     aig = bench_mod.generate_circuit(args.family, args.size, args.seed)
-    out = _resolve_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output_file(args.out)
     out.write_bytes(write_aiger(aig))
     print(f"{aig.name}: inputs={aig.n_inputs} outputs={aig.n_outputs} "
           f"nodes={len(aig.ands)} depth={aig.depth} -> {out}")
@@ -178,8 +184,7 @@ def cmd_train(args) -> tuple[Path, list[str]]:
         epochs=args.epochs, learning_rate=args.lr, k_iterations=args.k,
         seed=args.seed)
     losses = policy_mod.train(net, circuits, cfg)
-    out = _resolve_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output_file(args.out)
     policy_mod.save(net, out)
     outputs = [str(out)]
     loss_path = out.with_suffix(".loss.csv")
@@ -193,7 +198,7 @@ def cmd_train(args) -> tuple[Path, list[str]]:
         bank = ood_mod.EmbeddingBank()
         for circuit in circuits:
             bank.add(circuit.name, net.encode_aig(circuit))
-        bank_path = _resolve_path(args.bank)
+        bank_path = _output_file(args.bank)
         bank.save_csv(bank_path)
         outputs.append(str(bank_path))
     print(f"trained on {len(circuits)} circuits for {args.epochs} epochs; "
@@ -209,11 +214,11 @@ def cmd_calibrate(args) -> tuple[Path, list[str]]:
     validation = []
     with open(args.validation, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(ood_mod.read_rows(reader, args.validation), None)
         if header and header[0] != "circuit":
             fh.seek(0)
             reader = csv.reader(fh)
-        for row in reader:
+        for row in ood_mod.read_rows(reader, args.validation):
             if not row:
                 continue
             try:
@@ -225,12 +230,11 @@ def cmd_calibrate(args) -> tuple[Path, list[str]]:
             validation.append((circuit.name, net.encode_aig(circuit), label))
     delta_th = ood_mod.calibrate([(h, lbl) for _, h, lbl in validation], bank)
     gate = ood_mod.OodConfig(delta_th, args.temperature)
-    out = _resolve_path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _output_file(args.out)
     gate.save(out)
     outputs = [str(out)]
     if args.report:
-        report_path = _resolve_path(args.report)
+        report_path = _output_file(args.report)
         ood_mod.write_calibration_report(report_path, validation, bank, delta_th)
         outputs.append(str(report_path))
     print(f"delta_th = {delta_th:.6f} (T = {args.temperature:g})")

@@ -79,8 +79,9 @@ class EmbeddingBank:
         bank = cls()
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            next(reader, None)  # header
-            for row in reader:
+            rows = read_rows(reader, path)
+            next(rows, None)  # header
+            for row in rows:
                 if not row:
                     continue
                 where = f"{path}: line {reader.line_num}"
@@ -95,6 +96,16 @@ class EmbeddingBank:
                                      f"{values.size} values")
                 bank.add(row[0], values)
         return bank
+
+
+def read_rows(reader, path):
+    """The rows of the csv ``reader`` over the file at ``path``; a row the
+    csv module cannot read, such as one with a field over its size limit,
+    raises ValueError naming the file and the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def cosine_distance(h1: np.ndarray, h2: np.ndarray) -> float:

@@ -401,39 +401,31 @@ def _enumerate_cuts(aig: Aig):
     most ``_CUT_SIZE`` leaves each. When two pairs of fanin cuts give the same
     leaves, the first pair's truth table is kept.
 
-    Each kept cut is also filed under both literals of its node as (leaf set,
-    truth table of the literal), so a complemented fanin costs nothing per
-    pair. A pair that merges to too many leaves, or to leaves already seen,
-    costs one set union; only the others are sorted and expanded.
+    Only the kept cuts are expanded. Expansion commutes with complement, so
+    a complemented fanin's table is complemented after it.
     """
     cuts: list[list[tuple[tuple[int, ...], int]]] = [[((), 0)]]
-    by_lit = [[(frozenset(), 0)], [(frozenset(), 1)]]
-    for v in range(1, 1 + aig.n_inputs):
-        cuts.append([((v,), 0b10)])
-        unit = frozenset((v,))
-        by_lit += [[(unit, 0b10)], [(unit, 0b01)]]
-    first_and = aig.first_and()
-    for k, (l0, l1) in enumerate(aig.ands):
-        v = first_and + k
+    cuts += [[((v,), 0b10)] for v in range(1, 1 + aig.n_inputs)]
+    sets = [[frozenset(row[0][0])] for row in cuts]  # the leaf sets of cuts[v]
+    for v, (l0, l1) in enumerate(aig.ands, aig.first_and()):
         cand = {}
-        for s0, t0 in by_lit[l0]:
-            for s1, t1 in by_lit[l1]:
+        for s0, cut0 in zip(sets[l0 >> 1], cuts[l0 >> 1]):
+            for s1, cut1 in zip(sets[l1 >> 1], cuts[l1 >> 1]):
                 leaf_set = s0 | s1
                 if len(leaf_set) > _CUT_SIZE or leaf_set in cand:
                     continue
                 merged = tuple(sorted(leaf_set))
-                tt = _tt_expand(t0, s0, merged) & _tt_expand(t1, s1, merged)
-                cand[leaf_set] = (len(merged), merged, tt, leaf_set)
+                cand[leaf_set] = (len(merged), merged, cut0, cut1)
         # (size, leaves) is unique per cut, so the sort never compares further.
         kept = sorted(cand.values())[:_CUTS_PER_NODE - 1]
-        cuts.append([((v,), 0b10)] + [(leaves, tt) for _, leaves, tt, _ in kept])
-        unit = frozenset((v,))
-        pos = [(unit, 0b10)]
-        neg = [(unit, 0b01)]
-        for n, _, tt, leaf_set in kept:
-            pos.append((leaf_set, tt))
-            neg.append((leaf_set, tt ^ tt_ones(n)))
-        by_lit += [pos, neg]
+        row = [((v,), 0b10)]
+        for n, merged, (from0, t0), (from1, t1) in kept:
+            ones = tt_ones(n)
+            t0 = _tt_expand(t0, from0, merged) ^ (ones if l0 & 1 else 0)
+            t1 = _tt_expand(t1, from1, merged) ^ (ones if l1 & 1 else 0)
+            row.append((merged, t0 & t1))
+        cuts.append(row)
+        sets.append([frozenset(leaves) for leaves, _ in row])
     return cuts
 
 

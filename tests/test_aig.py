@@ -97,10 +97,31 @@ def test_latches_rejected():
         parse_aiger(b"aag 3 1 1 1 0\n2\n4 2\n4\n")
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "binary"])
+@pytest.mark.parametrize("props, lines, named", [
+    ("1", "3\n", "B=1"),               # one bad-state literal
+    ("0 1", "3\n", "C=1"),             # one invariant constraint
+    ("0 0 1", "1\n3\n", "J=1"),        # one justice property of one literal
+    ("0 0 0 1", "3\n", "F=1"),         # one fairness constraint
+    ("2 0 0 1", "3\n5\n3\n", "B=2, F=1"),
+])
+def test_properties_rejected(fmt, props, lines, named):
+    """The AIGER 1.9 property sections sit between the outputs and the
+    gates; a reader that ignores B, C, J and F takes their lines for gates."""
+    if fmt == "ascii":
+        data = f"aag 3 2 0 1 1 {props}\n2\n4\n6\n{lines}6 2 4\n".encode()
+    else:
+        data = f"aig 3 2 0 1 1 {props}\n6\n{lines}".encode() + bytes([2, 2])
+    with pytest.raises(AigerError, match=rf"properties unsupported \({named}\)"):
+        parse_aiger(data)
+
+
 @pytest.mark.parametrize("data", [
     b"",
     b"not a header\n",
     b"aag x y z\n",
+    b"aag 1 1 0 1 0 x\n2\n2\n",         # non-integer property count
+    b"aag 1 1 0 1 0 0 0 0 0 0\n2\n2\n",  # a field past F
     b"aag 1 1 0 1 0\n2\n",            # truncated: missing output line
     b"aag 2 1 0 1 1\n2\n4\n4 2 6\n",  # literal 6 never defined
     b"aag 2 1 0 1 1\n2\n8\n4 2 2\n",  # output var out of range

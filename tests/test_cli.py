@@ -310,6 +310,33 @@ def test_train_without_epochs_exits_two(tmp_path, capsys):
     assert not (tmp_path / "m.bin").exists()
 
 
+def test_train_makes_the_bank_directory(tmp_path):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    model = tmp_path / "m.bin"
+    bank = tmp_path / "banks" / "bank.csv"
+    assert run(["train", "--circuits", str(circuit), "--out", str(model),
+                "--bank", str(bank), "--epochs", "1", "--k", "2",
+                "--gcn-layers", "2", "--d-hidden", "8"]) == 0
+    assert bank.exists()
+    assert model.with_suffix(".manifest.json").exists()
+
+
+def test_calibrate_makes_the_report_directory(tmp_path):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    model, bank = _tiny_model_and_bank(tmp_path, circuit)
+    validation = tmp_path / "val.csv"
+    validation.write_text(f"{circuit},0\n")
+    report = tmp_path / "reports" / "r.csv"
+    assert run(["calibrate", "--model", str(model), "--bank", str(bank),
+                "--validation", str(validation),
+                "--out", str(tmp_path / "ood.json"),
+                "--report", str(report)]) == 0
+    assert report.exists()
+    assert (tmp_path / "ood.manifest.json").exists()
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--d-hidden", "0", "d_hidden"), ("--gcn-layers", "0", "gcn_layers"),
     ("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
@@ -363,6 +390,9 @@ def test_bench_jobs_below_one_exits_two(tmp_path, capsys, jobs):
     ("val.csv", "{circuit}"),        # validation row without its label
     ("bank.csv", "x"),               # bank row without dim and values
     ("bank.csv", "c,3,0.5,0.5"),     # dim disagrees with the value count
+    # a field past the csv module's 131,072-character limit
+    pytest.param("val.csv", "x" * 131073, id="val.csv-oversized_field"),
+    pytest.param("bank.csv", "x" * 131073, id="bank.csv-oversized_field"),
 ])
 def test_calibrate_malformed_csv_row_exits_two(tmp_path, capsys, bad_file,
                                                bad_row):
@@ -694,6 +724,20 @@ def test_oversized_aiger_header_exits_two(tmp_path, capsys):
                 "--out-dir", str(tmp_path / "r")]) == 2
     err = _assert_one_line_error(capsys)
     assert "exceeds the limit" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_aiger_with_properties_exits_two(tmp_path, capsys):
+    # 30 inputs; gates 31-34 chain-AND inputs 1-5. Read as gate deltas, the
+    # bad-state line "3" would give 3 ANDs and a different function.
+    circuit = tmp_path / "bad_state.aig"
+    circuit.write_bytes(b"aig 34 30 0 1 4 1\n68\n3\n"
+                        + bytes([58, 2, 2, 56, 2, 56, 2, 56]))
+    assert run(["search", "--aig", str(circuit), "--alpha", "0",
+                "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "properties unsupported (B=1)" in err
     assert not (tmp_path / "r").exists()
 
 
