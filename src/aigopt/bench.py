@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .aig import Aig, AigBuilder
-from .mcts import (MctsConfig, RecipeEvaluator, TraceRow, check_guided_length,
+from .mcts import (MctsConfig, RecipeEvaluator, TraceRow, check_guided,
                    generate_recipe)
 from .transforms import _MEMO
 
@@ -302,7 +302,8 @@ def evaluate(methods: list[MethodSpec], circuits: dict[str, Aig],
     budget and aggregates reductions, win ratios, and iso-QoR speedups
     (reference method: pure MCTS when present, else the first method).
     Each run searches with ``mcts_cfg`` under its method's alpha and seed;
-    a guided run's recipe length is checked before the first run starts.
+    every guided run's policy and recipe length are checked before the
+    first run starts.
 
     ``jobs`` > 1 fans the (circuit, method, seed) grid out to worker
     processes; results are merged back in deterministic grid order.
@@ -320,7 +321,7 @@ def evaluate(methods: list[MethodSpec], circuits: dict[str, Aig],
         for spec in methods:
             cfg = dataclasses.replace(mcts_cfg, alpha=resolve_alpha(
                 spec, circuit, policy, bank, delta_th))
-            check_guided_length(cfg, policy)
+            check_guided(cfg, policy)
             for seed in seeds:
                 runs.append((circuit, circuit_id, spec.name,
                              dataclasses.replace(cfg, seed=seed),

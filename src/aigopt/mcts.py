@@ -66,40 +66,22 @@ class SearchNode:
         return sum(self.n)
 
 
-def uct(node: SearchNode, action: int, c_uct: float) -> float:
-    """Exploration term; unvisited actions return +inf so they are tried
-    first."""
-    n_a = node.n[action]
-    if n_a == 0:
-        return math.inf
-    total = node.total_visits()
-    return c_uct * math.sqrt(math.log(total) / n_a)
-
-
-def biased_uct(prior: float, u: float, alpha: float) -> float:
-    """Scales the exploration term by prior**alpha.
-
-    alpha = 0 returns u unchanged (bit-exact); a zero prior with infinite u
-    suppresses the action (inf * 0 treated as 0).
-    """
-    if alpha == 0.0:
-        return u
-    p = prior ** alpha
-    if math.isinf(u):
-        return math.inf if p > 0.0 else 0.0
-    return p * u
-
-
 def select(node: SearchNode, c_uct: float, alpha: float) -> int:
-    """argmax over Q + U*; ties break to the lowest action index."""
+    """argmax over Q + p * c_uct * sqrt(ln N / n_a); ties break to the
+    lowest action index. p is max(prior, PRIOR_FLOOR) ** alpha when alpha
+    > 0 and the node has a prior, else 1. An unvisited action scores +inf
+    if p > 0, else 0 (a NaN prior), so it is tried first."""
     best_action = 0
     best_score = -math.inf
-    use_prior = alpha > 0.0 and node.prior is not None
-    for a in range(len(node.n)):
-        u = uct(node, a, c_uct)
-        if use_prior:
-            u = biased_uct(max(node.prior[a], PRIOR_FLOOR), u, alpha)
-        score = node.q(a) + u
+    total = node.total_visits()
+    prior = node.prior if alpha > 0.0 else None
+    for a, n_a in enumerate(node.n):
+        p = 1.0 if prior is None else max(prior[a], PRIOR_FLOOR) ** alpha
+        if n_a == 0:
+            score = math.inf if p > 0.0 else 0.0
+        else:
+            u = c_uct * math.sqrt(math.log(total) / n_a)
+            score = node.q(a) + p * u
         if score > best_score:
             best_score = score
             best_action = a
@@ -194,21 +176,17 @@ class SearchResult:
 
 
 def search(evaluator: RecipeEvaluator, prefix: tuple[Action, ...],
-           tree: SearchNode, config: MctsConfig, prior=None,
-           rng: random.Random | None = None) -> SearchResult:
+           tree: SearchNode, config: MctsConfig, rng: random.Random,
+           prior=None) -> SearchResult:
     """Runs K select-expand-rollout-backup iterations below ``prefix``,
-    growing ``tree`` (the node of that prefix).
+    growing ``tree`` (the node of that prefix); ``rng`` draws the rollouts.
 
     Returns the normalized root visit-count distribution and its argmax.
-    Deterministic given the seed. ``prior(prefix)`` gives a new node's
-    action probabilities; it is required when alpha > 0, unused otherwise.
+    ``prior(prefix)`` gives a new node's action probabilities; it is
+    required when alpha > 0 (see ``check_guided``), unused otherwise.
     """
-    if prior is None and config.alpha > 0.0:
-        raise ValueError("alpha > 0 requires a policy prior")
     if len(prefix) >= config.recipe_len:
         raise ValueError("search requires a non-terminal prefix")
-    if rng is None:
-        rng = random.Random(config.seed)
     recipe_len = config.recipe_len
     want_prior = config.alpha > 0.0
     if want_prior and tree.prior is None:
@@ -247,11 +225,12 @@ def search(evaluator: RecipeEvaluator, prefix: tuple[Action, ...],
     return SearchResult(pi, Action(best), exhausted)
 
 
-def check_guided_length(config: MctsConfig, policy) -> None:
-    """Raises ValueError when a guided search (a policy and alpha > 0) asks
-    for a longer recipe than the policy's."""
-    if (policy is not None and config.alpha > 0.0
-            and config.recipe_len > policy.config.recipe_len):
+def check_guided(config: MctsConfig, policy) -> None:
+    """Raises ValueError when a guided search (alpha > 0) has no policy, or
+    asks for a longer recipe than the policy's."""
+    if config.alpha > 0.0 and policy is None:
+        raise ValueError("alpha > 0 requires a policy prior")
+    if config.alpha > 0.0 and config.recipe_len > policy.config.recipe_len:
         raise ValueError(
             f"recipe length {config.recipe_len} is longer than the "
             f"model's recipe length {policy.config.recipe_len}")
@@ -279,14 +258,14 @@ def generate_recipe(evaluator: RecipeEvaluator, config: MctsConfig,
     ``calls``, ``cache_hits`` and ``trace`` are the record of the run.
 
     When alpha > 0 the policy encodes the circuit once, and each new tree
-    node gets ``policy.priors`` of that embedding; a recipe longer than the
-    policy's is a ValueError, raised before any synthesis call. Reports the
-    committed recipe's QoR and the best QoR seen: the first trace row with
-    the smallest ADP proxy, unless the committed recipe is better.
+    node gets ``policy.priors`` of that embedding; ``check_guided`` runs
+    before any synthesis call. Reports the committed recipe's QoR and the
+    best QoR seen: the first trace row with the smallest ADP proxy, unless
+    the committed recipe is better.
     """
-    check_guided_length(config, policy)
+    check_guided(config, policy)
     prior = None
-    if policy is not None and config.alpha > 0.0:
+    if config.alpha > 0.0:
         prior = partial(policy.priors, policy.encode_aig(evaluator.root))
     rng = random.Random(config.seed)
     node = SearchNode()
@@ -294,7 +273,7 @@ def generate_recipe(evaluator: RecipeEvaluator, config: MctsConfig,
     levels = []
     exhausted = False
     for _ in range(config.recipe_len):
-        result = search(evaluator, prefix, node, config, prior, rng)
+        result = search(evaluator, prefix, node, config, rng, prior)
         exhausted = exhausted or result.exhausted
         levels.append((prefix, result.pi))
         action = result.action

@@ -39,15 +39,18 @@ class OodConfig:
     @classmethod
     def load(cls, path) -> "OodConfig":
         """Reads a gate file; a field that is not a JSON number (true and
-        false are not) raises ValueError."""
+        false are not), or one too large for a float, raises ValueError."""
         with open(path) as fh:
             gate = json.load(fh)
         values = ((gate.get("delta_th"), gate.get("temperature", 0.0))
                   if isinstance(gate, dict) else (None,))
-        if not all(type(v) in (int, float) for v in values):
-            raise ValueError(f"{path}: OOD config needs a numeric delta_th "
-                             "(and optional temperature)")
-        return cls(*values)
+        if all(type(v) in (int, float) for v in values):
+            try:
+                return cls(*map(float, values))
+            except OverflowError:  # an integer past float range
+                pass
+        raise ValueError(f"{path}: OOD config needs a numeric delta_th "
+                         "(and optional temperature) within float range")
 
 
 @dataclass

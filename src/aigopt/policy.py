@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import struct
+from collections import deque
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -40,8 +41,8 @@ _ADAM_EPS = 1e-8
 
 
 class ModelFormatError(ValueError):
-    """Model file is not readable: bad magic, version, checksum, or a header
-    whose tensors differ from the network's."""
+    """Model file is not readable: bad magic, version, checksum, a header
+    whose tensors differ from the network's, or a NaN or infinite value."""
 
 
 @dataclass(frozen=True)
@@ -290,15 +291,6 @@ class PolicyNetwork:
             rv *= 1.0 - _BN_MOMENTUM
             rv += _BN_MOMENTUM * layer["var"]
 
-    def _forward_full(self, encoded, prefix):
-        """The head over ``encoded = _gcn_forward(...)``, keeping every
-        activation the backward pass needs."""
-        h_aig, gcn_cache = encoded
-        pi, cache = self._head(h_aig, prefix)
-        cache["gcn"] = gcn_cache
-        cache["prefix"] = tuple(int(a) for a in prefix)
-        return pi, cache
-
     def priors(self, h_aig: np.ndarray, prefix) -> np.ndarray:
         """Inference-mode action probabilities, always a valid distribution,
         for the circuit embedding ``h_aig`` (from ``encode_aig``) after
@@ -309,8 +301,10 @@ class PolicyNetwork:
 
     # -- backward ------------------------------------------------------------
 
-    def _backward(self, cache, dlogits: np.ndarray,
+    def _backward(self, cache, gcn, prefix, dlogits: np.ndarray,
                   grads: dict[str, np.ndarray]) -> None:
+        """Adds to ``grads`` the backpropagated ``dlogits``, from the caches
+        of ``_head`` (over ``prefix``) and ``_gcn_forward``."""
         cfg = self.config
         a2, z2, a1, z1, a0 = (cache["a2"], cache["z2"], cache["a1"],
                               cache["z1"], cache["a0"])
@@ -327,10 +321,9 @@ class PolicyNetwork:
         da0 = self.params["fc0.W"] @ dz1
         d_haig = da0[:2 * cfg.d_hidden]
         d_hr = da0[2 * cfg.d_hidden:]
-        for i, action in enumerate(cache["prefix"]):
+        for i, action in enumerate(map(int, prefix)):
             grads["act_emb"][action] += d_hr * (1.0 + self.params["pos_emb"][i])
             grads["pos_emb"][i] += d_hr * self.params["act_emb"][action]
-        gcn = cache["gcn"]
         h = gcn["h_final"]
         n = h.shape[0]
         dh = np.tile(d_haig[:cfg.d_hidden] / n, (n, 1))
@@ -355,9 +348,6 @@ class PolicyNetwork:
                 dm = dz @ self.params[f"gcn{k}.W"].T
                 dh = _spmm(adj, dm)  # adjacency is symmetric
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(p) for name, p in self.params.items()}
-
     def loss_and_grads(self, batch,
                        aigs_by_id: dict[str, Aig]) -> tuple[float, dict]:
         """Mean cross-entropy and mean gradients over (circuit_id, prefix,
@@ -366,17 +356,18 @@ class PolicyNetwork:
         within it; each experience still folds its circuit's batch
         statistics into the running statistics, in batch order."""
         encoded = {}
-        grads = self.zero_grads()
+        grads = {name: np.zeros_like(p) for name, p in self.params.items()}
         total = 0.0
         for exp in batch:
             if exp.circuit_id not in encoded:
                 encoded[exp.circuit_id] = self._gcn_forward(
                     _graph(aigs_by_id[exp.circuit_id]), training=True)
-            self._track_batch_stats(encoded[exp.circuit_id][1])
-            pi, cache = self._forward_full(encoded[exp.circuit_id], exp.prefix)
+            h_aig, gcn_cache = encoded[exp.circuit_id]
+            self._track_batch_stats(gcn_cache)
+            pi, cache = self._head(h_aig, exp.prefix)
             target = np.asarray(exp.pi, dtype=np.float64)
             total += loss(pi, target)
-            self._backward(cache, pi - target, grads)
+            self._backward(cache, gcn_cache, exp.prefix, pi - target, grads)
         scale = 1.0 / max(len(batch), 1)
         for name in grads:
             grads[name] *= scale
@@ -392,27 +383,6 @@ class Experience:
     circuit_id: str
     prefix: tuple[Action, ...]
     pi: tuple[float, ...]
-
-
-class ReplayBuffer:
-    """Bounded FIFO store of search experiences (oldest evicted first)."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._items: list[Experience] = []
-
-    def add(self, exp: Experience) -> None:
-        self._items.append(exp)
-        if len(self._items) > self.capacity:
-            self._items.pop(0)
-
-    def sample(self, count: int, rng: np.random.Generator) -> list[Experience]:
-        if len(self._items) <= count:
-            return list(self._items)
-        idx = rng.choice(len(self._items), size=count, replace=False)
-        return [self._items[i] for i in sorted(idx)]
 
 
 class Adam:
@@ -454,14 +424,17 @@ class TrainingConfig:
             raise ValueError("seed must be >= 0")
 
 
+@np.errstate(all="ignore")  # a diverged run is refused, not warned about
 def train(net: PolicyNetwork, circuits: list[Aig],
           cfg: TrainingConfig | None = None) -> list[float]:
     """Policy pre-training: each epoch runs guided level-by-level search
     (alpha 1, recipes of the network's ``recipe_len``) on every training
-    circuit, stores the per-level root experience tuples in the replay
-    buffer, then takes one optimizer step on a uniformly sampled
-    mini-batch. Each search encodes its circuit with the current
-    parameters. Returns the mini-batch loss of each epoch."""
+    circuit, stores the per-level root experience tuples in a FIFO replay
+    buffer of two epochs, then takes one optimizer step on a uniformly
+    sampled mini-batch of one epoch's size, in buffer order. Each search
+    encodes its circuit with the current parameters. Returns the
+    mini-batch loss of each epoch; a loss or tensor that is not finite is
+    a ValueError naming the epoch."""
     cfg = cfg or TrainingConfig()
     if not circuits:
         raise ValueError("training requires at least one circuit")
@@ -471,7 +444,7 @@ def train(net: PolicyNetwork, circuits: list[Aig],
     aigs_by_id = {c.name: c for c in circuits}
     n_tr = len(circuits)
     recipe_len = net.config.recipe_len
-    buffer = ReplayBuffer(2 * recipe_len * n_tr)
+    buffer: deque[Experience] = deque(maxlen=2 * recipe_len * n_tr)
     adam = Adam(net.params, lr=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     losses: list[float] = []
@@ -484,10 +457,17 @@ def train(net: PolicyNetwork, circuits: list[Aig],
             result = generate_recipe(RecipeEvaluator(aig), search_cfg,
                                      policy=net)
             for prefix, pi in result.levels:
-                buffer.add(Experience(aig.name, prefix, tuple(pi)))
-        batch = buffer.sample(recipe_len * n_tr, rng)
+                buffer.append(Experience(aig.name, prefix, tuple(pi)))
+        batch = list(buffer)
+        if len(batch) > recipe_len * n_tr:
+            idx = rng.choice(len(batch), recipe_len * n_tr, replace=False)
+            batch = [batch[i] for i in sorted(idx)]
         value, grads = net.loss_and_grads(batch, aigs_by_id)
         adam.step(grads)
+        values = (value, *net.params.values(), *net.buffers.values())
+        if not all(np.isfinite(v).all() for v in values):
+            raise ValueError(f"training diverged at epoch {epoch}: the loss "
+                             "or a model tensor is not finite")
         losses.append(value)
     return losses
 
@@ -578,5 +558,7 @@ def load(path) -> PolicyNetwork:
             arr = np.frombuffer(body, dtype="<f8", count=math.prod(shape),
                                 offset=offset)
             offset += arr.nbytes
+            if not np.isfinite(arr).all():
+                raise ModelFormatError(f"model tensor {name!r} is not finite")
             group[name] = arr.reshape(shape).copy()
     return net

@@ -204,8 +204,9 @@ def test_parallel_jobs_match_serial():
 
 def test_first_guided_run_longer_than_model_fails_before_synthesis(
         monkeypatch):
-    # The guided run's length is checked before the grid starts, so the
-    # pure run before it never synthesizes.
+    # Each guided run's policy and length are checked before the grid
+    # starts, so the pure runs before it never synthesize: a recipe longer
+    # than the model's, and a guided method without a model.
     from aigopt import bench
 
     evaluators = []
@@ -219,10 +220,13 @@ def test_first_guided_run_longer_than_model_fails_before_synthesis(
     net = PolicyNetwork(PolicyConfig(d_hidden=8, d_emb=4, d_head=8,
                                      gcn_layers=2, seed=0, recipe_len=10))
     methods = [method("pure_mcts"), method("agent_guided")]
-    with pytest.raises(ValueError, match="recipe length 12"):
-        evaluate(methods, {"add3": ripple_adder(3)}, policy=net, budget=6,
-                 mcts_cfg=MctsConfig(iterations=4, recipe_len=12))
-    assert evaluators == []
+    for policy, recipe_len, match in ((net, 12, "recipe length 12"),
+                                      (None, 10, "policy")):
+        with pytest.raises(ValueError, match=match):
+            evaluate(methods, {"add3": ripple_adder(3)}, policy=policy,
+                     budget=6, mcts_cfg=MctsConfig(iterations=4,
+                                                   recipe_len=recipe_len))
+        assert evaluators == []
 
 
 def test_grid_runs_each_pass_once(pass_runs):

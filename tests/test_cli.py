@@ -1,7 +1,9 @@
 import csv
 import json
+import math
 import shutil
 import subprocess
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +312,51 @@ def test_train_without_epochs_exits_two(tmp_path, capsys):
     assert not (tmp_path / "m.bin").exists()
 
 
+def test_diverging_training_exits_two(tmp_path, capsys):
+    # With this rate the first step leaves finite but huge parameters, and
+    # the second epoch's loss is NaN; no model, loss or bank file is
+    # written, and numpy's overflow warnings (errors here) stay silent.
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    capsys.readouterr()
+    model = tmp_path / "m.bin"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["train", "--circuits", str(circuit), "--out", str(model),
+                    "--bank", str(tmp_path / "bank.csv"), "--epochs", "3",
+                    "--k", "2", "--gcn-layers", "2", "--d-hidden", "8",
+                    "--lr", "1e300", "--seed", "1"]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "diverged at epoch 1" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.aag", "a.aag.manifest.json"]
+
+
+@pytest.mark.parametrize("value, position", [
+    (math.nan, 0), (math.inf, -1), (-math.inf, 0)])
+def test_model_with_non_finite_tensor_exits_two(tmp_path, capsys, value,
+                                                position):
+    # position 0 is the first parameter, -1 the last batch-norm statistic
+    import hashlib
+    import struct
+
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    model, _ = _tiny_model_and_bank(tmp_path, circuit)
+    body = bytearray(model.read_bytes()[:-32])
+    header_len, = struct.unpack_from("<I", body, 12)
+    offset = 16 + header_len if position == 0 else len(body) - 8
+    struct.pack_into("<d", body, offset, value)
+    model.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    capsys.readouterr()
+    assert run(["search", "--aig", str(circuit), "--alpha", "1",
+                "--model", str(model), "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "not finite" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_train_makes_the_bank_directory(tmp_path):
     circuit = tmp_path / "a.aag"
     run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
@@ -466,9 +513,13 @@ def test_calibrate_bad_temperature_exits_two(tmp_path, capsys, temperature):
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("gate", ['{"delta_th": NaN}',
-                                  '{"delta_th": -Infinity}',
-                                  '{"delta_th": 0.5, "temperature": NaN}'])
+@pytest.mark.parametrize("gate", [
+    '{"delta_th": NaN}', '{"delta_th": -Infinity}',
+    '{"delta_th": 0.5, "temperature": NaN}',
+    pytest.param('{"delta_th": 1%s, "temperature": 0.5}' % ("0" * 400),
+                 id="delta_th_past_float_range"),
+    pytest.param('{"delta_th": 0.5, "temperature": 1%s}' % ("0" * 400),
+                 id="temperature_past_float_range")])
 def test_search_non_finite_gate_config_exits_two(tmp_path, capsys, gate):
     circuit, model, bank = _gate_inputs(tmp_path)
     ood_json = tmp_path / "ood.json"

@@ -5,17 +5,16 @@ import pytest
 
 from aigopt.bench import random_dag, ripple_adder
 from aigopt.mcts import (
+    PRIOR_FLOOR,
     BudgetExhausted,
     MctsConfig,
     RecipeEvaluator,
     SearchNode,
     backup,
-    biased_uct,
     generate_recipe,
     rollout,
     search,
     select,
-    uct,
 )
 from aigopt.qor import baseline_qor, qor
 from aigopt.transforms import N_ACTIONS, Action, apply
@@ -37,46 +36,33 @@ class FakeEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# uct / biased_uct / select / backup
+# select / backup
 # ---------------------------------------------------------------------------
 
 def test_uct_symmetric_when_uniform():
+    # Equal visit counts give every action the same exploration term, so
+    # Q alone decides, and equal Q ties to the lowest action.
     node = SearchNode()
-    for a in range(7):
-        node.n[a] = 1
-    expected = math.sqrt(math.log(7))  # = 1.39496
-    for a in range(7):
-        assert uct(node, a, 1.0) == pytest.approx(expected, abs=1e-12)
-    assert expected == pytest.approx(1.3947, abs=5e-4)
+    node.n = [1] * 7
+    assert select(node, 1.0, 0.0) == 0
+    node.w[5] = 1e-9
+    assert select(node, 1.0, 0.0) == 5
 
 
 def test_uct_unvisited_is_infinite():
+    # An unvisited action outranks a visited one of any Q.
     node = SearchNode()
-    node.n[0] = 3
-    assert uct(node, 1, 1.0) == math.inf
+    node.n[0], node.w[0] = 3, 3e300
+    assert select(node, 1.0, 0.0) == 1
+    node.prior = [0.9] + [1e-3] * 6
+    assert select(node, 1.0, 1.0) == 1
 
 
 def test_uct_orders_by_visit_count():
+    # At equal Q the least-visited action has the largest exploration term.
     node = SearchNode()
-    for a, n in enumerate((4, 1, 1, 1, 0, 0, 0)):
-        node.n[a] = n
-    values = [uct(node, a, 1.0) for a in range(7)]
-    assert all(math.isinf(values[a]) for a in (4, 5, 6))
-    assert values[1] > values[0]
-
-
-def test_biased_uct_alpha_zero_is_identity():
-    for prior in (0.0, 0.3, 1.0):
-        assert biased_uct(prior, 2.5, 0.0) == 2.5
-        assert biased_uct(prior, math.inf, 0.0) == math.inf
-
-
-def test_biased_uct_alpha_one():
-    assert biased_uct(0.5, 2.0, 1.0) == 1.0
-
-
-def test_biased_uct_zero_prior_suppresses_infinite_bonus():
-    assert biased_uct(0.0, math.inf, 1.0) == 0.0
+    node.n = [4, 2, 1, 3, 1, 2, 5]
+    assert select(node, 1.0, 0.0) == 2
 
 
 def test_select_fresh_node_tie_breaks_low():
@@ -91,26 +77,54 @@ def test_select_exploitation_dominates():
     assert select(node, math.sqrt(2), 0.0) == 0
 
 
+def _oracle_select(node, c_uct, alpha):
+    """The rule of the separate ``uct`` and ``biased_uct`` helpers that
+    ``select`` replaced: argmax of Q + U, ties to the lowest action; a NaN
+    score never wins."""
+    scores = []
+    for a in range(7):
+        n_a = node.n[a]
+        u = (math.inf if n_a == 0
+             else c_uct * math.sqrt(math.log(sum(node.n)) / n_a))
+        if alpha > 0.0 and node.prior is not None:
+            p = max(node.prior[a], PRIOR_FLOOR) ** alpha
+            if math.isinf(u):
+                u = math.inf if p > 0.0 else 0.0
+            else:
+                u = p * u
+        scores.append((node.w[a] / n_a if n_a else 0.0) + u)
+    ranked = [a for a in range(7) if not math.isnan(scores[a])]
+    return max(ranked, key=lambda a: (scores[a], -a), default=0)
+
+
 def test_select_matches_bruteforce_oracle():
+    # Nodes without a prior, and with a prior holding a 0.0 entry (floored
+    # to PRIOR_FLOOR) and a NaN entry (an unvisited NaN action scores 0, a
+    # visited one NaN), at alpha 0, 0.5 and 1.
     rng = random.Random(11)
-    for _ in range(200):
+    for i in range(600):
         node = SearchNode()
         for a in range(7):
             node.n[a] = rng.randint(0, 5)
             node.w[a] = node.n[a] * rng.uniform(-1, 1)
-        if sum(node.n) == 0:
-            continue
+        if i % 3:
+            prior = [rng.random() for _ in range(7)]
+            zero, nan = rng.sample(range(7), 2)
+            prior[zero], prior[nan] = 0.0, math.nan
+            node.prior = prior
         c = rng.uniform(0.1, 3.0)
-        total = sum(node.n)
-        scores = []
-        for a in range(7):
-            if node.n[a] == 0:
-                scores.append(math.inf)
-            else:
-                q = node.w[a] / node.n[a]
-                scores.append(q + c * math.sqrt(math.log(total) / node.n[a]))
-        best = max(range(7), key=lambda a: (scores[a], -a))
-        assert select(node, c, 0.0) == best
+        for alpha in (0.0, 0.5, 1.0):
+            best = _oracle_select(node, c, alpha)
+            assert select(node, c, alpha) == best, (node.n, node.prior, alpha)
+    # the NaN prior's zero score wins when every other action is visited
+    # and scores below zero
+    node = SearchNode()
+    node.n = [0] + [1] * 6
+    node.w = [0.0] + [-10.0] * 6
+    node.prior = [math.nan] + [0.5] * 6
+    assert select(node, 1.0, 1.0) == _oracle_select(node, 1.0, 1.0) == 0
+    node.prior = [0.0] + [0.5] * 6
+    assert select(node, 1.0, 1.0) == 0  # a zero prior is floored: +inf
 
 
 def test_backup_running_mean():

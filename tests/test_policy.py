@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from aigopt.policy import (
     ModelFormatError,
     PolicyConfig,
     PolicyNetwork,
-    ReplayBuffer,
     TrainingConfig,
     _graph,
     _spmm,
@@ -134,8 +134,7 @@ def test_priors_match_forward():
     net = tiny_net()
     g1, _ = small_graphs()
     prefix = (Action.BALANCE, Action.RESUB)
-    full, _ = net._forward_full(net._gcn_forward(_graph(g1), False),
-                                 prefix)
+    full, _ = net._head(net._gcn_forward(_graph(g1), False)[0], prefix)
     assert np.array_equal(net.priors(net.encode_aig(g1), prefix), full)
 
 
@@ -152,10 +151,10 @@ def test_priors_follow_the_circuit_when_ids_are_reused():
         family, top = families[cycle % len(families)]
         circuit = generate_circuit(family, 1 + (cycle // 4) % top, seed=cycle)
         fresh_net = PolicyNetwork(cfg)
-        fresh, _ = fresh_net._forward_full(
-            fresh_net._gcn_forward(_graph(circuit), False), prefix)
-        full, _ = net._forward_full(net._gcn_forward(_graph(circuit), False),
-                                    prefix)
+        fresh, _ = fresh_net._head(
+            fresh_net._gcn_forward(_graph(circuit), False)[0], prefix)
+        full, _ = net._head(net._gcn_forward(_graph(circuit), False)[0],
+                            prefix)
         pi = net.priors(net.encode_aig(circuit), prefix)
         assert np.array_equal(pi, full), cycle
         assert np.array_equal(pi, fresh), cycle
@@ -286,23 +285,54 @@ def test_gradients_match_finite_differences():
 # replay buffer
 # ---------------------------------------------------------------------------
 
-def test_buffer_capacity_and_fifo_eviction():
-    buf = ReplayBuffer(capacity=3)
-    for i in range(5):
-        buf.add(Experience(f"c{i}", (), (1.0,) * 7))
-    everything = buf.sample(5, np.random.default_rng(0))  # all, in order
-    assert [e.circuit_id for e in everything] == ["c2", "c3", "c4"]
+def _train_on_numbered_levels(monkeypatch, epochs, recipe_len, n_circuits):
+    """Runs ``train`` with a stand-in search whose levels are numbered in
+    the order they are made (the number is ``pi[0]``) and a stand-in
+    ``loss_and_grads`` that returns zero gradients; returns each epoch's
+    mini-batch as those numbers."""
+    from aigopt import policy
+
+    made = iter(range(10 ** 6))
+
+    def numbered_levels(evaluator, config, **_):
+        return SimpleNamespace(levels=[((), (float(next(made)),) + (0.0,) * 6)
+                                       for _ in range(config.recipe_len)])
+
+    batches = []
+
+    def record(self, batch, aigs_by_id):
+        batches.append([int(e.pi[0]) for e in batch])
+        return 0.0, {k: np.zeros_like(v) for k, v in self.params.items()}
+
+    monkeypatch.setattr(policy, "generate_recipe", numbered_levels)
+    monkeypatch.setattr(PolicyNetwork, "loss_and_grads", record)
+    circuits = [ripple_adder(2 + i) for i in range(n_circuits)]
+    train(tiny_net(recipe_len=recipe_len), circuits,
+          TrainingConfig(epochs=epochs, k_iterations=1, seed=0))
+    return batches
 
 
-def test_buffer_sampling():
-    buf = ReplayBuffer(capacity=10)
-    for i in range(10):
-        buf.add(Experience(f"c{i}", (), (1.0,) * 7))
-    rng = np.random.default_rng(0)
-    sample = buf.sample(4, rng)
-    assert len(sample) == 4
-    assert len({e.circuit_id for e in sample}) == 4  # without replacement
-    assert len(buf.sample(20, rng)) == 10  # capped at population
+def test_buffer_capacity_and_fifo_eviction(monkeypatch):
+    # The buffer holds the last two epochs of levels (2 * recipe_len per
+    # circuit); older ones are evicted first. The first epoch's batch is
+    # the whole buffer, in order.
+    batches = _train_on_numbered_levels(monkeypatch, epochs=6,
+                                        recipe_len=3, n_circuits=1)
+    assert batches[0] == [0, 1, 2]
+    for epoch, batch in enumerate(batches):
+        assert set(batch) <= set(range(3 * max(epoch - 1, 0), 3 * epoch + 3))
+
+
+def test_buffer_sampling(monkeypatch):
+    # Once the buffer holds more than one epoch of levels, each mini-batch
+    # is one epoch's size, drawn without replacement, in buffer order.
+    batches = _train_on_numbered_levels(monkeypatch, epochs=8,
+                                        recipe_len=2, n_circuits=2)
+    assert batches[0] == [0, 1, 2, 3]  # capped at the buffer's size
+    for batch in batches[1:]:
+        assert len(batch) == 4
+        assert batch == sorted(set(batch))  # distinct, in buffer order
+    assert len({tuple(b) for b in batches[1:]}) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -345,24 +375,23 @@ def test_training_deterministic():
 
 
 def test_training_fills_buffer_and_respects_capacity(monkeypatch):
-    from aigopt import policy
+    batches = []
+    loss_and_grads = PolicyNetwork.loss_and_grads
 
-    buffers = []
+    def recorded(self, batch, aigs_by_id):
+        batches.append(batch)
+        return loss_and_grads(self, batch, aigs_by_id)
 
-    class Recorded(ReplayBuffer):
-        def __init__(self, capacity):
-            super().__init__(capacity)
-            buffers.append(self)
-
-    monkeypatch.setattr(policy, "ReplayBuffer", Recorded)
+    monkeypatch.setattr(PolicyNetwork, "loss_and_grads", recorded)
     circuits = [ripple_adder(3), mux_tree(2)]
     cfg = TrainingConfig(epochs=4, k_iterations=4, seed=0)
     net = tiny_net(seed=0, recipe_len=5)
     train(net, circuits, cfg)
-    buf, = buffers
-    held = buf.sample(10 ** 6, np.random.default_rng(0))
-    assert 0 < len(held) <= 2 * 5 * 2
-    assert all(len(e.pi) == 7 for e in held)
+    assert len(batches) == 4
+    for held in batches:
+        assert len(held) == 5 * 2
+        assert {e.circuit_id for e in held} <= {c.name for c in circuits}
+        assert all(len(e.pi) == 7 for e in held)
 
 
 def test_train_requires_circuits():
