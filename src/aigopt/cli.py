@@ -184,6 +184,10 @@ def cmd_train(args) -> tuple[Path, list[str]]:
         epochs=args.epochs, learning_rate=args.lr, k_iterations=args.k,
         seed=args.seed)
     losses = policy_mod.train(net, circuits, cfg)
+    if args.bank:  # embedded first: an overflow there writes no file
+        bank = ood_mod.EmbeddingBank()
+        for circuit in circuits:
+            bank.add(circuit.name, net.encode_aig(circuit))
     out = _output_file(args.out)
     policy_mod.save(net, out)
     outputs = [str(out)]
@@ -195,9 +199,6 @@ def cmd_train(args) -> tuple[Path, list[str]]:
             writer.writerow((epoch, repr(value)))
     outputs.append(str(loss_path))
     if args.bank:
-        bank = ood_mod.EmbeddingBank()
-        for circuit in circuits:
-            bank.add(circuit.name, net.encode_aig(circuit))
         bank_path = _output_file(args.bank)
         bank.save_csv(bank_path)
         outputs.append(str(bank_path))

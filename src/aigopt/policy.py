@@ -45,6 +45,11 @@ class ModelFormatError(ValueError):
     whose tensors differ from the network's, or a NaN or infinite value."""
 
 
+class NonFiniteError(ValueError):
+    """A circuit embedding or an action prior came out NaN or infinite:
+    finite but huge weights overflowed in the forward pass."""
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     gcn_layers: int = 3
@@ -245,10 +250,15 @@ class PolicyNetwork:
         h_aig = np.concatenate([h_mean, h_max])
         return h_aig, cache
 
+    @np.errstate(all="ignore")  # an overflow is refused, not warned about
     def encode_aig(self, aig: Aig) -> np.ndarray:
         """Pooled graph embedding (mean-pool ++ max-pool), length 2*d_hidden;
-        batch norm uses the running statistics."""
+        batch norm uses the running statistics. An embedding that is not
+        finite raises NonFiniteError."""
         h_aig, _ = self._gcn_forward(_graph(aig), training=False)
+        if not np.isfinite(h_aig).all():
+            raise NonFiniteError(f"the model's embedding of circuit "
+                                 f"{aig.name!r} is not finite")
         return h_aig
 
     def encode_recipe(self, prefix) -> np.ndarray:
@@ -291,12 +301,15 @@ class PolicyNetwork:
             rv *= 1.0 - _BN_MOMENTUM
             rv += _BN_MOMENTUM * layer["var"]
 
+    @np.errstate(all="ignore")  # an overflow is refused, not warned about
     def priors(self, h_aig: np.ndarray, prefix) -> np.ndarray:
-        """Inference-mode action probabilities, always a valid distribution,
-        for the circuit embedding ``h_aig`` (from ``encode_aig``) after
-        ``prefix``. A search encodes its circuit once and passes the
-        embedding to every call."""
+        """Inference-mode action probabilities for the circuit embedding
+        ``h_aig`` (from ``encode_aig``) after ``prefix``: a valid
+        distribution, or NonFiniteError when they are not finite. A search
+        encodes its circuit once and passes the embedding to every call."""
         pi, _ = self._head(h_aig, prefix)
+        if not np.isfinite(pi).all():
+            raise NonFiniteError("the model's action priors are not finite")
         return pi
 
     # -- backward ------------------------------------------------------------
@@ -433,8 +446,8 @@ def train(net: PolicyNetwork, circuits: list[Aig],
     buffer of two epochs, then takes one optimizer step on a uniformly
     sampled mini-batch of one epoch's size, in buffer order. Each search
     encodes its circuit with the current parameters. Returns the
-    mini-batch loss of each epoch; a loss or tensor that is not finite is
-    a ValueError naming the epoch."""
+    mini-batch loss of each epoch; a loss, tensor, embedding or prior that
+    is not finite is a ValueError naming the epoch."""
     cfg = cfg or TrainingConfig()
     if not circuits:
         raise ValueError("training requires at least one circuit")
@@ -454,8 +467,12 @@ def train(net: PolicyNetwork, circuits: list[Aig],
                 iterations=cfg.k_iterations, alpha=1.0,
                 seed=cfg.seed * 1_000_003 + epoch * 1009 + ci,
                 recipe_len=recipe_len)
-            result = generate_recipe(RecipeEvaluator(aig), search_cfg,
-                                     policy=net)
+            try:
+                result = generate_recipe(RecipeEvaluator(aig), search_cfg,
+                                         policy=net)
+            except NonFiniteError as exc:
+                raise ValueError(f"training diverged at epoch {epoch}: "
+                                 f"{exc}") from None
             for prefix, pi in result.levels:
                 buffer.append(Experience(aig.name, prefix, tuple(pi)))
         batch = list(buffer)

@@ -97,10 +97,13 @@ RESYN2 = Recipe.parse("b,rw,rf,b,rw,rwz,b,rfz,rwz,b")
 # ---------------------------------------------------------------------------
 
 class _Net:
-    """Reference-counted AND graph used inside a structural pass. A trial's
-    nodes and counts live in an overlay. Only ``commit(v, ...)``, during
-    ``v``'s visit, writes the net: it appends the trial's ANDs, writes its
-    counts into ``ref`` and sets ``repl[v]``.
+    """Reference-counted AND graph used inside a structural pass. A trial
+    runs a candidate's compiled program (``_compile``) and only counts: its
+    nodes live in a dict and the counts it raises in an overlay over the
+    visit's ``_deref`` counts, merged into one dict only for a trial it
+    returns. Only ``commit(v, ...)``, during ``v``'s visit, writes the net:
+    it appends the trial's ANDs, writes its counts into ``ref`` and sets
+    ``repl[v]``.
 
     ``ref`` counts the references from the outputs and from the unresolved
     fanins of nodes with a positive count. A replaced node keeps its old
@@ -110,21 +113,16 @@ class _Net:
     """
 
     def __init__(self, aig: Aig):
-        n = aig.n_nodes
+        pad = [0] * aig.first_and()
         self.n_inputs = aig.n_inputs
-        self.f0 = [0] * n
-        self.f1 = [0] * n
+        self.f0 = pad + [a for a, _ in aig.ands]
+        self.f1 = pad + [b for _, b in aig.ands]
         self.ref = list(aig.fanout_counts)
         self.level = list(aig.levels)
         self.repl: dict[int, int] = {}
-        self.strash: dict[tuple[int, int], int] = {}
+        self.strash: dict[tuple[int, int], int] = {
+            ab: 2 * v for v, ab in enumerate(aig.ands, aig.first_and())}
         self.outputs = list(aig.outputs)
-        base = aig.first_and()
-        for k, (a, b) in enumerate(aig.ands):
-            v = base + k
-            self.f0[v] = a
-            self.f1[v] = b
-            self.strash[(a, b)] = 2 * v
 
     # -- resolution ---------------------------------------------------------
 
@@ -135,39 +133,6 @@ class _Net:
             lit = r ^ (lit & 1)
             r = self.repl.get(lit >> 1)
         return lit
-
-    # -- candidate construction ----------------------------------------------
-
-    def _and(self, a: int, b: int, new: dict[tuple[int, int], int],
-             own: int) -> int:
-        if a > b:
-            a, b = b, a
-        if a == 0:
-            return 0
-        if a == 1:
-            return b
-        if a == b:
-            return a
-        if a == (b ^ 1):
-            return 0
-        key = (a, b)
-        hit = new.get(key) or self.strash.get(key)  # no AND's literal is 0
-        if hit is None or hit == own:  # the node being replaced is absent
-            hit = new[key] = 2 * (len(self.f0) + len(new))
-        return hit
-
-    def _build(self, expr: Expr, leaves: list[int],
-               new: dict[tuple[int, int], int], own: int) -> int:
-        tag = expr[0]
-        if tag == "const":
-            return 1 if expr[1] else 0
-        if tag == "var":
-            return leaves[expr[1]] ^ (1 if expr[2] else 0)
-        left = self._build(expr[1], leaves, new, own)
-        right = self._build(expr[2], leaves, new, own)
-        if tag == "and":
-            return self._and(left, right, new, own)
-        return self._and(left ^ 1, right ^ 1, new, own) ^ 1
 
     # -- trial replacement ----------------------------------------------------
 
@@ -191,41 +156,79 @@ class _Net:
         return counts, freed
 
     def trial(self, v: int, deref: tuple[dict[int, int], list[int]],
-              expr: Expr, leaves: list[int], min_gain: int):
-        """Scores replacing node ``v`` by ``expr`` over ``leaves``, changing
-        neither the net nor ``deref`` (``_deref(v)`` under the current counts).
+              prog: tuple, leaves: list[int], min_gain: int):
+        """Scores replacing node ``v`` by the ``_compile``d program ``prog``
+        over ``leaves``, changing neither the net nor ``deref`` (``_deref(v)``
+        under the current counts).
 
-        The gain is the ANDs freed by deleting ``v`` less the ANDs that the
-        new root's references bring to a positive count. Returns None when
-        the root is ``v`` or the gain is below ``min_gain``, else ``(gain,
-        root, new, counts)``: ``new`` maps the fanin pair of each node the
+        Each step ANDs two operands after folding the trivial cases: a
+        constant, equal or complementary literals. It reuses an AND the
+        candidate added or the net holds, except ``v`` itself, which counts
+        as absent. The gain is the ANDs freed by deleting ``v`` less the ANDs
+        that the new root's references bring to a positive count; the counts
+        it raises sit in an overlay over ``deref``'s. Returns None when the
+        root is ``v`` or the gain is below ``min_gain``, else ``(gain, root,
+        new, counts)``: ``new`` maps the fanin pair of each node the
         candidate adds to its literal, numbered on from ``len(f0)`` in
         creation order, and ``counts`` gives each changed count."""
         counts, freed = deref
         gain = len(freed)
         if gain < min_gain:
             return None
+        steps, root_at, root_neg = prog
+        strash, f0, f1 = self.strash, self.f0, self.f1
+        n = len(f0)
+        own = 2 * v
         new: dict[tuple[int, int], int] = {}
-        root = self._build(expr, leaves, new, 2 * v)
+        vals = [0, *leaves]
+        zeroed = False  # whether a fold to 0 may have cut off an added node
+        for i, neg_i, j, neg_j, neg_out in steps:
+            a = vals[i] ^ neg_i
+            b = vals[j] ^ neg_j
+            if a > b:
+                a, b = b, a
+            if a == 1:
+                lit = b
+            elif a == 0 or a ^ b == 1:  # 0 & b, x & !x
+                lit = 0
+                zeroed = True
+            elif a == b:
+                lit = a
+            else:
+                key = (a, b)
+                lit = strash.get(key)
+                if lit is None or lit == own:
+                    lit = new.get(key)
+                    if lit is None:
+                        lit = new[key] = 2 * (n + len(new))
+            vals.append(lit ^ neg_out)
+        root = vals[root_at] ^ root_neg
         if root >> 1 == v:
             return None
-        ref, f0, f1 = self.ref, self.f0, self.f1
-        n = len(f0)
+        if gain - len(new) < min_gain and not zeroed:
+            return None  # every added node lies under the root and costs one
+        if len(new) == 1 and root >> 1 == n and (f0[v], f1[v]) in new \
+                and min_gain > 0:
+            return None  # a copy of v: its walk undoes _deref's, a gain of 0
+        ref = self.ref
+        n_inputs = self.n_inputs
         added = list(new)
-        counts = dict(counts)
+        raised: dict[int, int] = {}
         stack = [root >> 1] * ref[v]
         while stack:
             u = stack.pop()
-            r = counts.get(u, ref[u] if u < n else 0)
-            counts[u] = r + 1
-            if r == 0 and u > self.n_inputs:
+            r = raised.get(u)
+            if r is None:
+                r = counts.get(u, ref[u] if u < n else 0)
+            raised[u] = r + 1
+            if r == 0 and u > n_inputs:
                 gain -= 1
                 if gain < min_gain:
                     return None
                 a, b = (f0[u], f1[u]) if u < n else added[u - n]
                 stack.append(a >> 1)
                 stack.append(b >> 1)
-        return gain, root, new, counts
+        return gain, root, new, {**counts, **raised}
 
     def commit(self, v: int, trial) -> None:
         """Applies ``trial``, scored for ``v`` on the net as it is now."""
@@ -382,15 +385,48 @@ def _tt_expand(tt: int, frm: tuple[int, ...] | frozenset[int],
     """Truth table ``tt`` over the sorted leaves ``frm`` (a tuple or a set),
     re-expressed over the sorted leaves ``to``, which hold all of ``frm``:
     two lookups in the byte tables of ``_EXPAND``."""
-    lo, hi = _EXPAND[tuple(map(frm.__contains__, to))]
+    if len(to) == 4:  # the common sizes spelled out: no iterator to build
+        a, b, c, d = to
+        lo, hi = _EXPAND[a in frm, b in frm, c in frm, d in frm]
+    elif len(to) == 3:
+        a, b, c = to
+        lo, hi = _EXPAND[a in frm, b in frm, c in frm]
+    else:
+        lo, hi = _EXPAND[tuple(map(frm.__contains__, to))]
     return lo[tt & 0xFF] | hi[tt >> 8]
 
 
+def _compile(expr: Expr, n_vars: int) -> tuple:
+    """Flattens ``expr`` over ``n_vars`` leaves into the program that
+    ``_Net.trial`` runs, ``(steps, root_at, root_neg)``. Operand slot 0
+    holds the constant 0 and slots 1 to ``n_vars`` the leaves; each step
+    ``(i, neg_i, j, neg_j, neg_out)`` ANDs slots ``i`` and ``j``, each
+    complemented by its flag, and appends the result complemented by
+    ``neg_out``. An "or" is the complement of the AND of its operands'
+    complements. Steps come in post-order, left subtree first, which is the
+    order in which a candidate creates its nodes; the root is slot
+    ``root_at`` complemented by ``root_neg``."""
+    steps: list[tuple[int, int, int, int, int]] = []
+
+    def slot(e: Expr) -> tuple[int, int]:
+        if e[0] == "const":
+            return 0, 1 if e[1] else 0
+        if e[0] == "var":
+            return 1 + e[1], 1 if e[2] else 0
+        (i, neg_i), (j, neg_j) = slot(e[1]), slot(e[2])
+        neg = 1 if e[0] == "or" else 0
+        steps.append((i, neg_i ^ neg, j, neg_j ^ neg, neg))
+        return n_vars + len(steps), 0
+
+    root_at, root_neg = slot(expr)
+    return tuple(steps), root_at, root_neg
+
+
 @lru_cache(maxsize=1 << 16)
-def _resynth(tt: int, n_vars: int) -> Expr:
-    """Factored irredundant cover of a cut/cone function (memoized: cut
-    functions repeat heavily across nodes and circuits)."""
-    return factor(isop(tt, 0, n_vars))
+def _resynth(tt: int, n_vars: int) -> tuple:
+    """The ``_compile``d factored irredundant cover of a cut/cone function
+    (memoized: cut functions repeat heavily across nodes and circuits)."""
+    return _compile(factor(isop(tt, 0, n_vars)), n_vars)
 
 
 def _enumerate_cuts(aig: Aig):
@@ -401,31 +437,49 @@ def _enumerate_cuts(aig: Aig):
     most ``_CUT_SIZE`` leaves each. When two pairs of fanin cuts give the same
     leaves, the first pair's truth table is kept.
 
+    Each cut carries a signature, the OR of ``1 << (leaf & 63)`` over its
+    leaves. A pair whose signatures' OR has more than ``_CUT_SIZE`` bits has
+    more leaves than that, and is rejected before its leaf sets are merged;
+    leaves that share a bit only lower the count, so no fitting pair is lost.
+
     Only the kept cuts are expanded. Expansion commutes with complement, so
     a complemented fanin's table is complemented after it.
     """
     cuts: list[list[tuple[tuple[int, ...], int]]] = [[((), 0)]]
     cuts += [[((v,), 0b10)] for v in range(1, 1 + aig.n_inputs)]
-    sets = [[frozenset(row[0][0])] for row in cuts]  # the leaf sets of cuts[v]
+    # keys[v][k]: the signature, leaf set and truth table of cuts[v][k]
+    keys = [[(0, frozenset(), 0)]]
+    keys += [[(1 << (v & 63), frozenset((v,)), 0b10)]
+             for v in range(1, 1 + aig.n_inputs)]
     for v, (l0, l1) in enumerate(aig.ands, aig.first_and()):
         cand = {}
-        for s0, cut0 in zip(sets[l0 >> 1], cuts[l0 >> 1]):
-            for s1, cut1 in zip(sets[l1 >> 1], cuts[l1 >> 1]):
+        keys1 = keys[l1 >> 1]
+        for sig0, s0, t0 in keys[l0 >> 1]:
+            for sig1, s1, t1 in keys1:
+                sig = sig0 | sig1
+                if sig.bit_count() > _CUT_SIZE:
+                    continue
                 leaf_set = s0 | s1
                 if len(leaf_set) > _CUT_SIZE or leaf_set in cand:
                     continue
                 merged = tuple(sorted(leaf_set))
-                cand[leaf_set] = (len(merged), merged, cut0, cut1)
+                cand[leaf_set] = (len(merged), merged, leaf_set, sig,
+                                  s0, t0, s1, t1)
         # (size, leaves) is unique per cut, so the sort never compares further.
         kept = sorted(cand.values())[:_CUTS_PER_NODE - 1]
         row = [((v,), 0b10)]
-        for n, merged, (from0, t0), (from1, t1) in kept:
-            ones = tt_ones(n)
-            t0 = _tt_expand(t0, from0, merged) ^ (ones if l0 & 1 else 0)
-            t1 = _tt_expand(t1, from1, merged) ^ (ones if l1 & 1 else 0)
-            row.append((merged, t0 & t1))
+        key_row = [(1 << (v & 63), frozenset((v,)), 0b10)]
+        for n, merged, leaf_set, sig, s0, t0, s1, t1 in kept:
+            if len(s0) < n:  # a fanin cut over all n leaves is already expanded
+                t0 = _tt_expand(t0, s0, merged)
+            if len(s1) < n:
+                t1 = _tt_expand(t1, s1, merged)
+            ones = (1 << (1 << n)) - 1
+            tt = (t0 ^ ones if l0 & 1 else t0) & (t1 ^ ones if l1 & 1 else t1)
+            row.append((merged, tt))
+            key_row.append((sig, leaf_set, tt))
         cuts.append(row)
-        sets.append([frozenset(leaves) for leaves, _ in row])
+        keys.append(key_row)
     return cuts
 
 
@@ -436,17 +490,25 @@ def _enumerate_cuts(aig: Aig):
 def rewrite(aig: Aig, zero_cost: bool = False) -> Aig:
     """Cut-based resynthesis: replaces 4-feasible cut functions by their
     factored irredundant covers when that frees at least one node (at least
-    zero with ``zero_cost``)."""
+    zero with ``zero_cost``).
+
+    Each visit scores every cut of the node with a count-only trial of its
+    compiled cover and commits the best, ties going to the earlier cut. A
+    trial must beat the best gain so far, so the visit stops once that
+    exceeds the ANDs that deleting the node frees."""
     cuts = _enumerate_cuts(aig)
 
     def visit(net: _Net, v: int, min_gain: int) -> None:
         deref = net._deref(v)
+        freed = len(deref[1])
+        repl, resolve = net.repl, net.resolve
         best = None
         limit = min_gain  # ties go to the earlier cut
         for leaves, tt in cuts[v][1:]:
-            expr = _resynth(tt, len(leaves))
-            lits = [net.resolve(2 * w) for w in leaves]
-            trial = net.trial(v, deref, expr, lits, limit)
+            if freed < limit:
+                break  # no trial can reach the limit
+            lits = [resolve(2 * w) if w in repl else 2 * w for w in leaves]
+            trial = net.trial(v, deref, _resynth(tt, len(leaves)), lits, limit)
             if trial is not None:
                 best, limit = trial, trial[0] + 1
         if best is not None:
@@ -536,8 +598,8 @@ def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
         if _cone_tt(net, [v], memo, tt_ones(len(leaves))) > _CONE_BUDGET \
                 or memo[v] is None:
             return
-        expr = _resynth(memo[v], len(leaves))
-        trial = net.trial(v, deref, expr, [2 * w for w in leaves], min_gain)
+        prog = _resynth(memo[v], len(leaves))
+        trial = net.trial(v, deref, prog, [2 * w for w in leaves], min_gain)
         if trial is not None:
             net.commit(v, trial)
 
@@ -548,32 +610,6 @@ def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
 # Resubstitution
 # ---------------------------------------------------------------------------
 
-def _resub_window(net: _Net, v: int):
-    """Level-bounded fanin window of ``v``: (interior vars, leaf vars).
-
-    Shrinks the depth bound until the leaf count fits the truth-table cap.
-    """
-    for cutoff in range(net.level[v] - _RESUB_WINDOW_DEPTH, net.level[v]):
-        interior: list[int] = []
-        leaves: list[int] = []
-        seen, stack = {v}, [v]
-        while stack and len(leaves) <= _RESUB_LEAF_CAP:
-            u = stack.pop()
-            for f in (net.f0[u], net.f1[u]):
-                w = net.resolve(f) >> 1
-                if w in seen:
-                    continue
-                seen.add(w)
-                if w > net.n_inputs and net.level[w] > cutoff:
-                    interior.append(w)
-                    stack.append(w)
-                elif w != 0:
-                    leaves.append(w)
-        if len(leaves) <= _RESUB_LEAF_CAP:
-            return sorted(interior), sorted(leaves)
-    return [], []
-
-
 _RESUB_SIDE_CAP = 32
 
 
@@ -582,9 +618,11 @@ def _side_divisors(net: _Net, v: int, interior: list[int], leaves: list[int],
     """Original-graph nodes outside the fanin window whose support lies
     within the window leaves (bottom-up closure over snapshot fanouts)."""
     n0 = len(fanout_lists)
-    in_window = set(leaves) | set(interior) | {0}
+    f0, f1, level = net.f0, net.f1, net.level
+    top = level[v]
+    in_window = {0, *leaves, *interior}
     admitted: list[int] = []
-    frontier = list(leaves) + list(interior)
+    frontier = leaves + interior
     fi = 0
     while fi < len(frontier) and len(admitted) < _RESUB_SIDE_CAP:
         s = frontier[fi]
@@ -592,22 +630,21 @@ def _side_divisors(net: _Net, v: int, interior: list[int], leaves: list[int],
         if s >= n0:
             continue
         for u in fanout_lists[s]:
-            if u == v or u in in_window or u in mffc:
+            if u == v or u in in_window or u in mffc or level[u] > top:
                 continue
-            if net.level[u] > net.level[v]:
-                continue
-            if (net.f0[u] >> 1) in in_window and (net.f1[u] >> 1) in in_window:
+            if f0[u] >> 1 in in_window and f1[u] >> 1 in in_window:
                 in_window.add(u)
                 admitted.append(u)
                 frontier.append(u)
     return admitted
 
 
-# By (divisor count, complemented): the candidate over the divisor literals.
-_RESUB_EXPRS = {(1, False): ("var", 0, False),
-                (1, True): ("var", 0, True),
-                (2, False): ("and", ("var", 0, False), ("var", 1, False)),
-                (2, True): ("or", ("var", 0, True), ("var", 1, True))}
+# By (divisor count, complemented): the candidate over the divisor literals
+# as a ``_compile``d program, for d0, !d0, d0 & d1 and !d0 | !d1.
+_RESUB_PROGS = {(1, False): ((), 1, 0),
+                (1, True): ((), 1, 1),
+                (2, False): (((1, 0, 2, 0, 0),), 3, 0),
+                (2, True): (((1, 0, 2, 0, 1),), 3, 0)}
 
 
 def _resub_pairs(divisors: list[tuple[int, int]], tt_v: int, ones: int):
@@ -643,11 +680,16 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
     """Windowed resubstitution: re-expresses a node as a (possibly
     complemented) single divisor or AND/OR of two divisors from its window.
 
-    Every window node's truth table over the window's leaves comes from one
-    shared ``_cone_tt`` memo per node: the node first, then its divisors
-    with the node poisoned, so that a divisor whose cone holds the node (a
-    cycle) or leaves the window drops out. Candidates are screened on these
-    exact tables: single divisors first, then pairs.
+    A node's window is its resolved fanin cone down to a level cutoff, the
+    lowest of the ``_RESUB_WINDOW_DEPTH`` levels under the node that leaves
+    at most ``_RESUB_LEAF_CAP`` leaves. The walk records each window node's
+    resolved fanins, and the node's truth table over the leaves fills in
+    from that record, fanins first; only a window of more than
+    ``_CONE_BUDGET`` nodes is walked again by ``_cone_tt``, which rejects
+    the node when it expands more than that. The divisors' tables come from
+    the same memo with the node poisoned, so that a divisor whose cone holds
+    the node (a cycle) or leaves the window drops out. Candidates are
+    screened on these exact tables: single divisors first, then pairs.
     """
     first_and = aig.first_and()
     fanout_lists: list[list[int]] = [[] for _ in range(aig.n_nodes)]
@@ -656,30 +698,82 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
         fanout_lists[f1 >> 1].append(first_and + k)
 
     def visit(net: _Net, v: int, min_gain: int) -> None:
-        interior, leaves = _resub_window(net, v)
+        f0, f1, level, repl = net.f0, net.f1, net.level, net.repl
+        resolve, n_inputs = net.resolve, net.n_inputs
+        # fanins[u]: u's resolved fanins; the replacements stay fixed
+        # during a visit, so each cutoff's walk reads them from here.
+        fanins: dict[int, tuple[int, int]] = {}
+        for cutoff in range(level[v] - _RESUB_WINDOW_DEPTH, level[v]):
+            interior: list[int] = []
+            leaves: list[int] = []
+            seen, stack = {v}, [v]
+            while stack and len(leaves) <= _RESUB_LEAF_CAP:
+                u = stack.pop()
+                pair = fanins.get(u)
+                if pair is None:
+                    a, b = f0[u], f1[u]
+                    pair = fanins[u] = (resolve(a) if a >> 1 in repl else a,
+                                        resolve(b) if b >> 1 in repl else b)
+                for f in pair:
+                    w = f >> 1
+                    if w in seen:
+                        continue
+                    seen.add(w)
+                    if w > n_inputs and level[w] > cutoff:
+                        interior.append(w)
+                        stack.append(w)
+                    elif w != 0:
+                        leaves.append(w)
+            if len(leaves) <= _RESUB_LEAF_CAP:
+                break
+        else:
+            return
         if not leaves:
             return
+        interior.sort()
+        leaves.sort()
         memo = _leaf_tts(leaves)
         ones = tt_ones(len(leaves))
-        if _cone_tt(net, [v], memo, ones) > _CONE_BUDGET or memo[v] is None:
-            return
+        if len(interior) + 1 > _CONE_BUDGET:
+            if _cone_tt(net, [v], memo, ones) > _CONE_BUDGET:
+                return
+        else:
+            stack = [v]
+            while stack:
+                u = stack[-1]
+                a, b = fanins[u]
+                ta = memo.get(a >> 1)
+                tb = memo.get(b >> 1)
+                if ta is None:
+                    stack.append(a >> 1)
+                elif tb is None:
+                    stack.append(b >> 1)
+                else:
+                    memo[u] = ((ta ^ ones if a & 1 else ta)
+                               & (tb ^ ones if b & 1 else tb))
+                    stack.pop()
         tt_v = memo[v]
         deref = net._deref(v)
         mffc = set(deref[1])
         side = _side_divisors(net, v, interior, leaves, mffc, fanout_lists)
-        seen = {0, v}  # nodes that give no divisor, or have given one
-        divisor_lits: list[int] = []
-        for d in interior + leaves + side:
-            if d in mffc:
-                continue
-            r = net.resolve(2 * d)
-            if r >> 1 not in seen:
-                seen.add(r >> 1)
-                divisor_lits.append(r)
-        divisor_lits.sort(key=lambda lit: (-net.level[lit >> 1], lit))
-        divisor_lits = divisor_lits[:_RESUB_DIVISOR_CAP]
+        # Window nodes are resolved already; side nodes may be replaced.
+        window = [d for d in interior + leaves if d not in mffc]
+        seen = {0, v, *window}  # nodes that give no divisor, or have given one
+        divisor_lits = [2 * d for d in window]
+        for d in side:
+            if d not in mffc:
+                r = resolve(2 * d)
+                if r >> 1 not in seen:
+                    seen.add(r >> 1)
+                    divisor_lits.append(r)
+        # By descending level, then literal: ``big`` exceeds every literal,
+        # so each key is the literal less ``big`` times its level.
+        big = 2 * len(f0)
+        keys = sorted(r - big * level[r >> 1] for r in divisor_lits)
+        divisor_lits = [key % big for key in keys[:_RESUB_DIVISOR_CAP]]
         memo[v] = None  # a divisor whose cone holds v would close a cycle
-        _cone_tt(net, [r >> 1 for r in divisor_lits], memo, ones)
+        _cone_tt(net, [r >> 1 for r in divisor_lits if r >> 1 not in memo],
+                 memo, ones)
         # A root's own walk from the seed (0, the leaves, v) expands only
         # nodes the shared memo holds beyond it: recount only above that.
         if len(memo) - len(leaves) - 2 > _CONE_BUDGET:
@@ -689,13 +783,16 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
                     seed[v] = None
                     if _cone_tt(net, [r >> 1], seed, ones) > _CONE_BUDGET:
                         memo[r >> 1] = None
-        divisors = [(r, memo[r >> 1] ^ ones if r & 1 else memo[r >> 1])
-                    for r in divisor_lits if memo[r >> 1] is not None]
+        divisors = []
+        for r in divisor_lits:
+            t = memo[r >> 1]
+            if t is not None:
+                divisors.append((r, t ^ ones if r & 1 else t))
         comp_v = tt_v ^ ones
         singles = [([r], t == comp_v)
                    for r, t in divisors if t == tt_v or t == comp_v]
         for lits, compl in chain(singles, _resub_pairs(divisors, tt_v, ones)):
-            trial = net.trial(v, deref, _RESUB_EXPRS[len(lits), compl], lits,
+            trial = net.trial(v, deref, _RESUB_PROGS[len(lits), compl], lits,
                               min_gain)
             if trial is not None:
                 net.commit(v, trial)

@@ -332,6 +332,25 @@ def test_diverging_training_exits_two(tmp_path, capsys):
         "a.aag", "a.aag.manifest.json"]
 
 
+def test_training_whose_bank_embedding_overflows_exits_two(tmp_path, capsys):
+    # One epoch at this rate leaves finite but huge weights, so training
+    # ends; embedding the circuit for the bank then overflows. That exits 2
+    # before the model and loss files are written.
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["train", "--circuits", str(circuit), "--out",
+                    str(tmp_path / "m.bin"), "--bank", str(tmp_path / "b.csv"),
+                    "--epochs", "1", "--k", "2", "--gcn-layers", "2",
+                    "--d-hidden", "8", "--lr", "1e300", "--seed", "1"]) == 2
+    err = _assert_one_line_error(capsys)
+    assert "embedding of circuit" in err and "not finite" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.aag", "a.aag.manifest.json"]
+
+
 @pytest.mark.parametrize("value, position", [
     (math.nan, 0), (math.inf, -1), (-math.inf, 0)])
 def test_model_with_non_finite_tensor_exits_two(tmp_path, capsys, value,
@@ -354,6 +373,35 @@ def test_model_with_non_finite_tensor_exits_two(tmp_path, capsys, value,
                 "--out-dir", str(tmp_path / "r")]) == 2
     err = _assert_one_line_error(capsys)
     assert "not finite" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("scaled, what", [
+    (("fc0.W", "fc1.W"), "action priors"),
+    (("gcn0.W", "gcn1.W"), "embedding of circuit")])
+def test_model_with_overflowing_weights_exits_two(tmp_path, capsys, scaled,
+                                                  what):
+    # Weights scaled by 1e200 are finite, so the model loads; its forward
+    # pass overflows. Scaled head weights gave NaN priors, on which the
+    # search committed "b" ten times and exited 0.
+    from aigopt.policy import PolicyConfig, PolicyNetwork, save
+
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    net = PolicyNetwork(PolicyConfig(d_hidden=8, d_emb=4, d_head=8,
+                                     gcn_layers=2))
+    for name in scaled:
+        net.params[name] *= 1e200
+    model = tmp_path / "model.bin"
+    save(net, model)  # a valid checksum over the scaled tensors
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["search", "--aig", str(circuit), "--alpha", "1",
+                    "--model", str(model), "--budget", "20", "--k", "4",
+                    "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert what in err and "not finite" in err
     assert not (tmp_path / "r").exists()
 
 

@@ -199,6 +199,57 @@ def test_cut_enumeration_matches_parent_digest():
     assert digests == _CUT_DIGESTS
 
 
+def _enumerate_cuts_reference(aig):
+    """The cut enumeration without signatures: every pair of fanin cuts is
+    merged as frozensets, and each kept cut's set is rebuilt from its
+    leaves for the next level."""
+    from aigopt.isop import tt_ones
+
+    cuts = [[((), 0)]] + [[((v,), 0b10)] for v in range(1, 1 + aig.n_inputs)]
+    sets = [[frozenset(row[0][0])] for row in cuts]
+    for v, (l0, l1) in enumerate(aig.ands, aig.first_and()):
+        cand = {}
+        for s0, cut0 in zip(sets[l0 >> 1], cuts[l0 >> 1]):
+            for s1, cut1 in zip(sets[l1 >> 1], cuts[l1 >> 1]):
+                leaf_set = s0 | s1
+                if len(leaf_set) > transforms._CUT_SIZE or leaf_set in cand:
+                    continue
+                merged = tuple(sorted(leaf_set))
+                cand[leaf_set] = (len(merged), merged, cut0, cut1)
+        kept = sorted(cand.values())[:transforms._CUTS_PER_NODE - 1]
+        row = [((v,), 0b10)]
+        for n, merged, (from0, t0), (from1, t1) in kept:
+            ones = tt_ones(n)
+            t0 = _tt_expand_bit_loop(t0, from0, merged) ^ (l0 & 1) * ones
+            t1 = _tt_expand_bit_loop(t1, from1, merged) ^ (l1 & 1) * ones
+            row.append((merged, t0 & t1))
+        cuts.append(row)
+        sets.append([frozenset(leaves) for leaves, _ in row])
+    return cuts
+
+
+def test_cut_signature_collisions_keep_fitting_cuts():
+    # Nodes 3, 67 and 131 share bit 3 of a cut signature, and nodes 5 and
+    # 69 share bit 5: the signatures undercount the leaves. Cuts that fit
+    # are kept, and a 5-leaf union whose signature shows 4 bits is still
+    # rejected by its leaf count.
+    bld = AigBuilder(140)
+    x3, x5, x6, x67, x69, x131 = (bld.pi(i - 1) for i in (3, 5, 6, 67, 69, 131))
+    a = bld.and_(x3, x67)
+    b = bld.and_(x5, x69)
+    c = bld.and_(a, b)
+    d = bld.and_(c, x6)
+    e = bld.and_(a, x131)
+    g = bld.finish([d, e])
+    cuts = transforms._enumerate_cuts(g)
+    assert cuts == _enumerate_cuts_reference(g)
+    assert ((3, 67), 0b1000) in cuts[a >> 1]
+    assert ((3, 5, 67, 69), 0x8000) in cuts[c >> 1]
+    assert ((3, 67, 131), 0x80) in cuts[e >> 1]
+    assert all(len(leaves) <= transforms._CUT_SIZE
+               for row in cuts for leaves, _ in row)
+
+
 # ---------------------------------------------------------------------------
 # Refactor
 # ---------------------------------------------------------------------------
@@ -456,18 +507,19 @@ def test_recipe_outputs_match_parent_digest():
 # ---------------------------------------------------------------------------
 
 def _rewrite_visits():
-    """Walks a zero-cost rewrite over the ``_PASS_DIGESTS`` circuits and
-    ``random_dag(400, seed=0)``, yielding ``(net, v, deref, cands, best)``
-    for every visited AND, where ``deref`` is the visit's one ``_deref(v)``,
-    ``cands`` lists ``(expr, leaves)`` per cut and ``best`` is ``(trial,
-    expr, leaves)`` for the trial rewrite keeps, or None; after the visit,
-    the AND takes that trial, so later visits see replaced nodes and
-    negative counts."""
+    """Walks a zero-cost rewrite over the ``_PASS_DIGESTS`` circuits,
+    ``array_multiplier(4)`` and ``random_dag(400, seed=0)``, yielding
+    ``(net, v, deref, cands, best)`` for every visited AND, where ``deref``
+    is the visit's one ``_deref(v)``, ``cands`` lists ``(prog, leaves)`` for
+    each cut the visit tries and ``best`` is ``(trial, prog, leaves)`` for
+    the trial rewrite keeps, or None; after the visit, the AND takes that
+    trial, so later visits see replaced nodes and negative counts."""
     from aigopt.bench import (array_multiplier, comparator, mux_tree,
                               random_dag, ripple_adder)
 
     for g in [ripple_adder(4), comparator(4), mux_tree(2), array_multiplier(3),
-              random_dag(60, seed=1), random_dag(400, seed=0)]:
+              random_dag(60, seed=1), array_multiplier(4),
+              random_dag(400, seed=0)]:
         cuts = transforms._enumerate_cuts(g)
         net = transforms._Net(g)
         for v in range(g.first_and(), g.n_nodes):
@@ -476,23 +528,140 @@ def _rewrite_visits():
             best = None
             limit = 0  # as in rewrite: ties go to the earlier cut
             for leaves, tt in cuts[v][1:]:
-                expr = transforms._resynth(tt, len(leaves))
+                if len(deref[1]) < limit:
+                    break  # as in rewrite: no trial can reach the limit
+                prog = transforms._resynth(tt, len(leaves))
                 lits = [net.resolve(2 * w) for w in leaves]
-                cands.append((expr, lits))
-                trial = net.trial(v, deref, expr, lits, limit)
+                cands.append((prog, lits))
+                trial = net.trial(v, deref, prog, lits, limit)
                 if trial is not None:
-                    best, limit = (trial, expr, lits), trial[0] + 1
+                    best, limit = (trial, prog, lits), trial[0] + 1
             yield net, v, deref, cands, best
             if best is not None:
                 net.commit(v, best[0])
 
 
 def _rewrite_trials():
-    """``(net, v, deref, expr, leaves)`` for every cut of every AND that
-    ``_rewrite_visits`` visits."""
+    """``(net, v, deref, prog, leaves)`` for every cut that
+    ``_rewrite_visits`` tries."""
     for net, v, deref, cands, _ in _rewrite_visits():
-        for expr, lits in cands:
-            yield net, v, deref, expr, lits
+        for prog, lits in cands:
+            yield net, v, deref, prog, lits
+
+
+# The recursive candidate builder that ``_compile``d programs replaced,
+# kept as their reference: ``_and_reference`` folds the trivial cases, then
+# reuses an AND the candidate added or the net holds, except the node being
+# replaced, and ``_trial_reference`` scores the candidate on a full copy of
+# the counts.
+def _and_reference(net, a, b, new, own):
+    if a > b:
+        a, b = b, a
+    if a == 0:
+        return 0
+    if a == 1:
+        return b
+    if a == b:
+        return a
+    if a == (b ^ 1):
+        return 0
+    key = (a, b)
+    hit = new.get(key) or net.strash.get(key)
+    if hit is None or hit == own:
+        hit = new[key] = 2 * (len(net.f0) + len(new))
+    return hit
+
+
+def _build_reference(net, expr, leaves, new, own):
+    tag = expr[0]
+    if tag == "const":
+        return 1 if expr[1] else 0
+    if tag == "var":
+        return leaves[expr[1]] ^ (1 if expr[2] else 0)
+    left = _build_reference(net, expr[1], leaves, new, own)
+    right = _build_reference(net, expr[2], leaves, new, own)
+    if tag == "and":
+        return _and_reference(net, left, right, new, own)
+    return _and_reference(net, left ^ 1, right ^ 1, new, own) ^ 1
+
+
+def _trial_reference(net, v, deref, expr, leaves, min_gain):
+    counts, freed = deref
+    gain = len(freed)
+    if gain < min_gain:
+        return None
+    new = {}
+    root = _build_reference(net, expr, leaves, new, 2 * v)
+    if root >> 1 == v:
+        return None
+    ref, f0, f1 = net.ref, net.f0, net.f1
+    n = len(f0)
+    added = list(new)
+    counts = dict(counts)
+    stack = [root >> 1] * ref[v]
+    while stack:
+        u = stack.pop()
+        r = counts.get(u, ref[u] if u < n else 0)
+        counts[u] = r + 1
+        if r == 0 and u > net.n_inputs:
+            gain -= 1
+            if gain < min_gain:
+                return None
+            a, b = (f0[u], f1[u]) if u < n else added[u - n]
+            stack.append(a >> 1)
+            stack.append(b >> 1)
+    return gain, root, new, counts
+
+
+def test_program_trials_match_recursive_build():
+    # Every function of up to three variables and every cut function of the
+    # corpus, over leaf vectors that reach each fold and strash case: fresh
+    # inputs, the fanins of the replaced node (an AND of them hits it,
+    # which counts as absent), the fanins of another AND (a strash hit),
+    # nodes the deletion frees (revived), constants, and equal and
+    # complementary literals. Each min_gain also reaches the early exits.
+    from aigopt.bench import array_multiplier, comparator, random_dag
+    from aigopt.isop import factor, isop
+
+    tables = {(tt, n) for n in range(4) for tt in range(1 << (1 << n))}
+    for g in (array_multiplier(3), comparator(4), array_multiplier(6),
+              random_dag(400, seed=0)):
+        for row in transforms._enumerate_cuts(g):
+            tables.update((tt, len(leaves)) for leaves, tt in row[1:])
+    g = array_multiplier(3)
+    net = transforms._Net(g)
+    v = max(range(g.first_and(), g.n_nodes),
+            key=lambda u: len(net._deref(u)[1]))  # the largest MFFC
+    deref = net._deref(v)
+    freed = deref[1]
+    other = g.first_and() + 3
+    fresh = [2, 4, 6, 8]
+    vectors = [fresh, [net.f0[v], net.f1[v], 6, 8],
+               [net.f0[other], net.f1[other], 2, 4],
+               [2 * u for u in freed[1:5]], [0, 4, 6, 8], [2, 1, 6, 8],
+               [2, 4, 6, 0], [2, 2, 6, 8], [2, 3, 6, 8], [5, 4, 4, 9]]
+    min_gains = (-len(net.ref), 0, 1, len(freed) - 1, len(freed))
+    outcomes = set()
+    for tt, n in sorted(tables):
+        expr = factor(isop(tt, 0, n))
+        prog = transforms._resynth(tt, n)
+        assert prog == transforms._compile(expr, n)
+        for vector in vectors:
+            leaves = vector[:n]
+            for min_gain in min_gains:
+                got = net.trial(v, deref, prog, leaves, min_gain)
+                assert got == _trial_reference(net, v, deref, expr, leaves,
+                                               min_gain), (tt, n, leaves)
+                outcomes.add(got is None or (len(got[2]), got[0] < 0))
+    assert len(freed) > 5 and len(tables) > 600
+    assert {True, (0, False), (1, False), (2, True)} <= outcomes
+    resub_exprs = {(1, False): ("var", 0, False),
+                   (1, True): ("var", 0, True),
+                   (2, False): ("and", ("var", 0, False), ("var", 1, False)),
+                   (2, True): ("or", ("var", 0, True), ("var", 1, True))}
+    assert transforms._RESUB_PROGS == {
+        key: transforms._compile(expr, key[0])
+        for key, expr in resub_exprs.items()}
 
 
 def _net_state(net):
@@ -513,15 +682,15 @@ def test_trial_replacement_leaves_net_unchanged():
     # a trace: counts, appended nodes, strash entries, or the shared deref
     # walk that the visit's other trials reuse.
     trials = negative_counts = 0
-    for net, v, deref, expr, lits in _rewrite_trials():
+    for net, v, deref, prog, lits in _rewrite_trials():
         negative_counts += min(net.ref) < 0
         before = _net_state(net)
         walk = (dict(deref[0]), list(deref[1]))
         assert walk == net._deref(v)
-        trial = net.trial(v, deref, expr, lits, 0)
+        trial = net.trial(v, deref, prog, lits, 0)
         assert _net_state(net) == before and deref == walk
         short_of = 0 if trial is None else trial[0] + 1
-        assert net.trial(v, deref, expr, lits, short_of) is None
+        assert net.trial(v, deref, prog, lits, short_of) is None
         assert _net_state(net) == before and deref == walk
         trials += 1
     assert trials > 2000 and negative_counts > 0
@@ -534,10 +703,10 @@ def test_committed_gain_equals_live_count_drop():
                    if net.ref[u] > 0)
 
     commits = negative = 0
-    for net, v, deref, expr, lits in _rewrite_trials():
+    for net, v, deref, prog, lits in _rewrite_trials():
         copied = _copy_net(net)
         before = live(copied)
-        trial = copied.trial(v, deref, expr, lits, -len(net.ref))
+        trial = copied.trial(v, deref, prog, lits, -len(net.ref))
         if trial is None:
             continue  # the candidate is v itself
         copied.commit(v, trial)
@@ -555,17 +724,17 @@ def test_kept_trial_commits_like_a_fresh_trial_at_min_gain():
     # gain its walk ends at.
     commits = at_limit = 0
     for net, v, deref, cands, best in _rewrite_visits():
-        for expr, lits in cands:
-            loose = net.trial(v, deref, expr, lits, -len(net.ref))
+        for prog, lits in cands:
+            loose = net.trial(v, deref, prog, lits, -len(net.ref))
             if loose is not None and loose[0] < len(deref[1]):
-                assert net.trial(v, deref, expr, lits, loose[0]) == loose
+                assert net.trial(v, deref, prog, lits, loose[0]) == loose
                 at_limit += 1
         if best is None:
             continue
-        kept, expr, lits = best
+        kept, prog, lits = best
         by_kept, by_fresh = _copy_net(net), _copy_net(net)
         by_kept.commit(v, kept)
-        by_fresh.commit(v, by_fresh.trial(v, deref, expr, lits, 0))
+        by_fresh.commit(v, by_fresh.trial(v, deref, prog, lits, 0))
         assert _net_state(by_kept) == _net_state(by_fresh)
         commits += 1
     assert commits > 300 and at_limit > 100
