@@ -8,7 +8,9 @@ arithmetic families are verified against integer semantics in the tests.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import random
@@ -228,11 +230,12 @@ class EvalReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
-        lines = [",".join(f.name for f in dataclasses.fields(EvalRow))]
-        for row in self.rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                                  for v in dataclasses.astuple(row)))
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(f.name for f in dataclasses.fields(EvalRow))
+        # csv writes a float as its repr, as the JSON report does
+        writer.writerows(dataclasses.astuple(row) for row in self.rows)
+        return out.getvalue()
 
 
 def geomean_reduction(reductions_pct: list[float]) -> float:

@@ -530,15 +530,21 @@ def _leaf_tts(leaves: list[int]) -> dict[int, int | None]:
     return memo
 
 
+_ABSENT = object()  # memo.get's default, told apart from a stored None
+
+
 def _cone_tt(net: _Net, roots: list[int], memo: dict[int, int | None],
-             ones: int) -> int:
+             ones: int, fanins: dict[int, tuple[int, int]]) -> int:
     """Stores in ``memo`` the truth table of each node in ``roots``, and of
     every node of their resolved cones that ``memo`` lacks, over the leaf
     variables that ``memo`` was seeded with (``ones`` is the all-ones table).
     A node whose cone reaches a None entry, or a primary input not in
-    ``memo``, gets None. Returns how many nodes the walk expanded; callers
-    reject a root when its own walk from the bare seed expands more than
-    ``_CONE_BUDGET``."""
+    ``memo``, gets None. The walk reads each node's resolved fanin pair
+    from the visit's record ``fanins`` and records each pair it resolves:
+    the replacements stay fixed during a visit. Returns how many nodes the
+    walk expanded; callers reject a root when its own walk from the bare
+    seed expands more than ``_CONE_BUDGET``."""
+    f0, f1, resolve = net.f0, net.f1, net.resolve
     stack = list(roots)
     expanded = 0
     while stack:
@@ -546,19 +552,23 @@ def _cone_tt(net: _Net, roots: list[int], memo: dict[int, int | None],
         if u in memo:
             stack.pop()
             continue
-        if u <= net.n_inputs:
-            memo[u] = None  # a primary input outside the leaf set
-            stack.pop()
+        pair = fanins.get(u)
+        if pair is None:
+            if u <= net.n_inputs:
+                memo[u] = None  # a primary input outside the leaf set
+                stack.pop()
+                continue
+            pair = fanins[u] = (resolve(f0[u]), resolve(f1[u]))
+        a, b = pair
+        ta = memo.get(a >> 1, _ABSENT)
+        tb = memo.get(b >> 1, _ABSENT)
+        if ta is _ABSENT or tb is _ABSENT:
+            expanded += 1  # b goes on top: the count depends on the order
+            if ta is _ABSENT:
+                stack.append(a >> 1)
+            if tb is _ABSENT:
+                stack.append(b >> 1)
             continue
-        a = net.resolve(net.f0[u])
-        b = net.resolve(net.f1[u])
-        need = [w >> 1 for w in (a, b) if (w >> 1) not in memo]
-        if need:
-            expanded += 1
-            stack.extend(need)
-            continue
-        ta = memo[a >> 1]
-        tb = memo[b >> 1]
         if ta is None or tb is None:
             memo[u] = None
         else:
@@ -570,21 +580,24 @@ def _cone_tt(net: _Net, roots: list[int], memo: dict[int, int | None],
 def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
     """Collapses each maximum fanout-free cone (up to 10 leaves) to a truth
     table and resynthesizes it through ISOP factoring under the usual gain
-    rule."""
+    rule. The cone's walk records each node's resolved fanins, from which
+    ``_cone_tt`` fills the table; a cone whose fill expands more than
+    ``_CONE_BUDGET`` nodes is left as it is."""
 
     def visit(net: _Net, v: int, min_gain: int) -> None:
         deref = net._deref(v)
         mffc = set(deref[1])
-        cone = set()
+        # fanins[u]: the resolved fanins of each cone node, for _cone_tt
+        fanins: dict[int, tuple[int, int]] = {}
         leaf_set = set()
         queue = [v]
         while queue:
             u = queue.pop()
-            if u in cone:
+            if u in fanins:
                 continue
-            cone.add(u)
-            for f in (net.f0[u], net.f1[u]):
-                w = net.resolve(f) >> 1
+            pair = fanins[u] = (net.resolve(net.f0[u]), net.resolve(net.f1[u]))
+            for f in pair:
+                w = f >> 1
                 if w in mffc and w > net.n_inputs:
                     queue.append(w)
                 else:
@@ -592,11 +605,11 @@ def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
         leaves = sorted(leaf_set - {0})
         if not 2 <= len(leaves) <= _REFACTOR_MAX_LEAVES:
             return
-        if len(cone) < 2 and not zero_cost:
+        if len(fanins) < 2 and not zero_cost:
             return  # single-node cone cannot shrink
         memo = _leaf_tts(leaves)
-        if _cone_tt(net, [v], memo, tt_ones(len(leaves))) > _CONE_BUDGET \
-                or memo[v] is None:
+        if _cone_tt(net, [v], memo, tt_ones(len(leaves)), fanins) \
+                > _CONE_BUDGET:
             return
         prog = _resynth(memo[v], len(leaves))
         trial = net.trial(v, deref, prog, [2 * w for w in leaves], min_gain)
@@ -683,12 +696,12 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
     A node's window is its resolved fanin cone down to a level cutoff, the
     lowest of the ``_RESUB_WINDOW_DEPTH`` levels under the node that leaves
     at most ``_RESUB_LEAF_CAP`` leaves. The walk records each window node's
-    resolved fanins, and the node's truth table over the leaves fills in
-    from that record, fanins first; only a window of more than
-    ``_CONE_BUDGET`` nodes is walked again by ``_cone_tt``, which rejects
-    the node when it expands more than that. The divisors' tables come from
-    the same memo with the node poisoned, so that a divisor whose cone holds
-    the node (a cycle) or leaves the window drops out. Candidates are
+    resolved fanins, and ``_cone_tt`` fills the node's truth table over the
+    leaves from that record; the node is skipped when that walk expands
+    more than ``_CONE_BUDGET`` nodes. The divisors' tables come from the
+    same memo and record with the node poisoned, so that a divisor whose
+    cone holds the node (a cycle) or leaves the window drops out, as does
+    one whose own walk from the leaves exceeds the budget. Candidates are
     screened on these exact tables: single divisors first, then pairs.
     """
     first_and = aig.first_and()
@@ -701,7 +714,7 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
         f0, f1, level, repl = net.f0, net.f1, net.level, net.repl
         resolve, n_inputs = net.resolve, net.n_inputs
         # fanins[u]: u's resolved fanins; the replacements stay fixed
-        # during a visit, so each cutoff's walk reads them from here.
+        # during a visit, so every walk of the visit reads them from here.
         fanins: dict[int, tuple[int, int]] = {}
         for cutoff in range(level[v] - _RESUB_WINDOW_DEPTH, level[v]):
             interior: list[int] = []
@@ -734,24 +747,8 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
         leaves.sort()
         memo = _leaf_tts(leaves)
         ones = tt_ones(len(leaves))
-        if len(interior) + 1 > _CONE_BUDGET:
-            if _cone_tt(net, [v], memo, ones) > _CONE_BUDGET:
-                return
-        else:
-            stack = [v]
-            while stack:
-                u = stack[-1]
-                a, b = fanins[u]
-                ta = memo.get(a >> 1)
-                tb = memo.get(b >> 1)
-                if ta is None:
-                    stack.append(a >> 1)
-                elif tb is None:
-                    stack.append(b >> 1)
-                else:
-                    memo[u] = ((ta ^ ones if a & 1 else ta)
-                               & (tb ^ ones if b & 1 else tb))
-                    stack.pop()
+        if _cone_tt(net, [v], memo, ones, fanins) > _CONE_BUDGET:
+            return
         tt_v = memo[v]
         deref = net._deref(v)
         mffc = set(deref[1])
@@ -773,15 +770,15 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
         divisor_lits = [key % big for key in keys[:_RESUB_DIVISOR_CAP]]
         memo[v] = None  # a divisor whose cone holds v would close a cycle
         _cone_tt(net, [r >> 1 for r in divisor_lits if r >> 1 not in memo],
-                 memo, ones)
+                 memo, ones, fanins)
         # A root's own walk from the seed (0, the leaves, v) expands only
         # nodes the shared memo holds beyond it: recount only above that.
         if len(memo) - len(leaves) - 2 > _CONE_BUDGET:
             for r in divisor_lits:
                 if memo[r >> 1] is not None:
-                    seed = _leaf_tts(leaves)
-                    seed[v] = None
-                    if _cone_tt(net, [r >> 1], seed, ones) > _CONE_BUDGET:
+                    seed = {**_leaf_tts(leaves), v: None}
+                    if _cone_tt(net, [r >> 1], seed, ones, fanins) \
+                            > _CONE_BUDGET:
                         memo[r >> 1] = None
         divisors = []
         for r in divisor_lits:

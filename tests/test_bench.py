@@ -176,6 +176,22 @@ def test_report_csv_and_json(tiny_eval):
     assert payload["aggregates"]["reference_method"] == "pure_mcts"
 
 
+def test_report_csv_quotes_a_circuit_name(tiny_eval):
+    # A circuit is named after its file's stem, which may hold the
+    # delimiter or the quote character.
+    import csv
+    import dataclasses
+
+    _, _, _, report = tiny_eval
+    stem = 'a,"b'
+    rows = [dataclasses.replace(report.rows[0], circuit=stem)]
+    quoted = dataclasses.replace(report, rows=rows)
+    header, row = csv.reader(quoted.to_csv().splitlines())
+    assert len(header) == len(row) == 10
+    assert row[1] == stem
+    assert row[3] == repr(rows[0].alpha_used)
+
+
 def test_resolve_alpha_gate():
     net = PolicyNetwork(PolicyConfig(d_hidden=8, d_emb=4, d_head=8,
                                      gcn_layers=2, seed=0))

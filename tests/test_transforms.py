@@ -350,7 +350,34 @@ _RESUB_BUDGET_4_DIGESTS = {
 }
 
 
-def _resub_digests() -> dict[str, str]:
+# sha256 over the AIGER bytes of rf and then rfz on the same circuits, taken
+# with a cone budget of 4 before refactor's MFFC walk recorded the fanins
+# that its truth-table walk reads. The budget rejects cones on
+# comparator_12_rw and random_dag_400_0_rw, where these differ from the
+# digests at the default budget.
+_REFACTOR_BUDGET_4_DIGESTS = {
+    "array_multiplier_6":
+        "e280a66ffe206f4effa0c43bd830b9ffda2c6c0f0bb3e37e9eb65a610cce9b04",
+    "array_multiplier_6_rw":
+        "e254757b231498425388268012b25472849dd8553c4902f42437dd12fa75d27b",
+    "comparator_12":
+        "64ebcc4380a5931deae4954a718c1430661131c4ab42f87d017716e611b2f676",
+    "comparator_12_rw":
+        "f901dfb3964f26e218e75c916057b3e6cee428552627f637b1c0687a4607e68d",
+    "ripple_adder_12":
+        "9d969ba364f4f79c0424b4f4149f62a61677c04674149f8917031845316b2355",
+    "ripple_adder_12_rw":
+        "677f05efc88b7fcd329d9c08cbf499791d6eaeb836ce9e59f7ba88ea5132c43d",
+    "random_dag_400_0":
+        "5e44093e6fac95aed340b55aa0bedc7ca0ce65222f9120b4c441e83e41352e94",
+    "random_dag_400_0_rw":
+        "14c4714f8e8907dd27138caf5c74769d2c9c32a8f5f9ae6b001b153e8f7cfa6f",
+}
+
+
+def _pass_digests(pass_) -> dict[str, str]:
+    """Per circuit and its rewrite, sha256 over ``pass_``'s outputs without
+    and with zero-cost replacements."""
     import hashlib
 
     from aigopt.bench import (array_multiplier, comparator, random_dag,
@@ -362,18 +389,60 @@ def _resub_digests() -> dict[str, str]:
         for name, circuit in ((g.name, g), (g.name + "_rw", rewrite(g))):
             h = hashlib.sha256()
             for zero_cost in (False, True):
-                h.update(write_aiger(resub(circuit, zero_cost=zero_cost)))
+                h.update(write_aiger(pass_(circuit, zero_cost=zero_cost)))
             digests[name] = h.hexdigest()
     return digests
 
 
 def test_resub_matches_parent_digest():
-    assert _resub_digests() == _RESUB_DIGESTS
+    assert _pass_digests(resub) == _RESUB_DIGESTS
 
 
 def test_resub_cone_budget_matches_parent_digest(monkeypatch):
     monkeypatch.setattr(transforms, "_CONE_BUDGET", 4)
-    assert _resub_digests() == _RESUB_BUDGET_4_DIGESTS
+    assert _pass_digests(resub) == _RESUB_BUDGET_4_DIGESTS
+
+
+def test_refactor_cone_budget_matches_parent_digest(monkeypatch):
+    monkeypatch.setattr(transforms, "_CONE_BUDGET", 4)
+    assert _pass_digests(refactor) == _REFACTOR_BUDGET_4_DIGESTS
+
+
+@pytest.mark.parametrize("budget", [256, 4])
+def test_cone_tt_fanin_record_is_a_pure_cache(monkeypatch, budget):
+    # Every _cone_tt walk of refactor and resub, on nets that hold the
+    # replacements committed earlier in the sweep, runs again from an empty
+    # fanin record: it must store the same memo, expand as many nodes and
+    # resolve every fanin pair as the record holds it.
+    from aigopt.bench import array_multiplier, random_dag
+
+    cone_tt = transforms._cone_tt
+    walks = prefilled = resolved = over_budget = 0
+
+    def checked(net, roots, memo, ones, fanins):
+        nonlocal walks, prefilled, resolved, over_budget
+        bare_memo, bare_fanins = dict(memo), {}
+        bare = cone_tt(net, roots, bare_memo, ones, bare_fanins)
+        recorded = set(fanins)
+        expanded = cone_tt(net, roots, memo, ones, fanins)
+        assert expanded == bare and memo == bare_memo
+        assert all(fanins[u] == pair for u, pair in bare_fanins.items())
+        walks += 1
+        prefilled += not recorded.isdisjoint(bare_fanins)
+        resolved += any(pair != (net.f0[u], net.f1[u])
+                        for u, pair in bare_fanins.items())
+        over_budget += expanded > transforms._CONE_BUDGET
+        return expanded
+
+    monkeypatch.setattr(transforms, "_CONE_BUDGET", budget)
+    monkeypatch.setattr(transforms, "_cone_tt", checked)
+    for g in [array_multiplier(5), random_dag(300, seed=1)]:
+        for circuit in (g, rewrite(g)):
+            for pass_ in (refactor, resub):
+                for zero_cost in (False, True):
+                    pass_(circuit, zero_cost=zero_cost)
+    assert walks > 3000 and prefilled > 2000 and resolved > 1000
+    assert (over_budget > 500) == (budget == 4)
 
 
 # ---------------------------------------------------------------------------
