@@ -385,8 +385,10 @@ def write_aiger(aig: Aig) -> bytes:
 # Equivalence
 # ---------------------------------------------------------------------------
 
-def _output_words(aig: Aig, pi_words: list[int], width: int) -> list[int]:
-    """Bit-parallel evaluation; returns every output's ``width``-bit word."""
+def _node_words(aig: Aig, pi_words: list[int], width: int) -> list[int]:
+    """Bit-parallel evaluation, the package's one simulator: returns every
+    node's ``width``-bit word, indexed by node, for the input words
+    ``pi_words``."""
     mask = (1 << width) - 1
     words = [0] * aig.n_nodes
     for i, w in enumerate(pi_words):
@@ -396,7 +398,14 @@ def _output_words(aig: Aig, pi_words: list[int], width: int) -> list[int]:
         a = words[f0 >> 1] ^ (mask if f0 & 1 else 0)
         b = words[f1 >> 1] ^ (mask if f1 & 1 else 0)
         words[base + k] = a & b
-    return [(words[o >> 1] ^ (mask if o & 1 else 0)) & mask for o in aig.outputs]
+    return words
+
+
+def _output_words(aig: Aig, pi_words: list[int], width: int) -> list[int]:
+    """Every output's ``width``-bit word under ``_node_words``."""
+    mask = (1 << width) - 1
+    words = _node_words(aig, pi_words, width)
+    return [words[o >> 1] ^ (mask if o & 1 else 0) for o in aig.outputs]
 
 
 def equivalent(a: Aig, b: Aig, budget: int = 1024, seed: int = 0) -> Equivalence:

@@ -10,18 +10,28 @@ unchanged if the objective guard would be violated. ``apply`` is the one
 place that reuses pass results: it memoizes them by circuit structure in a
 least-recently-used memo bounded by the ANDs it holds, which always keeps
 its hundred newest entries.
+
+Rewrite and resub skip a visit that frees at most ``min_gain`` ANDs when no
+other node has the visited node's 64-bit simulation signature up to
+complement (``_Net.twinned``). With no freed AND to spare, a passing trial
+adds or revives no AND, so its root is an existing live node, an input or
+the constant that computes the node's function up to complement. Equal
+functions have equal signatures, so without a twin no trial can commit, and
+the skip leaves every output byte as it was; in practice only ``rw`` and
+``rs`` (min gain 1) skip.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-from collections import OrderedDict
+import random
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, chain
 
-from .aig import Aig, AigBuilder
+from .aig import Aig, AigBuilder, _node_words
 from .isop import Expr, factor, isop, tt_ones, var_mask
 
 N_ACTIONS = 7
@@ -34,6 +44,7 @@ _CONE_BUDGET = 256  # most nodes one cone truth-table walk may expand
 _RESUB_WINDOW_DEPTH = 8
 _RESUB_LEAF_CAP = 12
 _RESUB_DIVISOR_CAP = 24
+_SIG_ONES = (1 << 64) - 1  # the all-ones 64-bit simulation signature
 
 
 _CODES = ("b", "rw", "rwz", "rf", "rfz", "rs", "rsz")  # indexed by Action
@@ -105,6 +116,14 @@ class _Net:
     it appends the trial's ANDs, writes its counts into ``ref`` and sets
     ``repl[v]``.
 
+    ``sig`` holds each node's 64-bit simulation signature and ``twins`` the
+    number of nodes per signature up to complement, for the skip rule of
+    rewrite and resub: a visit that frees at most ``min_gain`` ANDs and has
+    no twin ends there. Such a visit's passing root could only be an
+    existing node computing ``v``'s function up to complement, since any
+    new or revived AND costs the one gain it has to spare; such a node has
+    ``v``'s signature, so the skip never drops a commit.
+
     ``ref`` counts the references from the outputs and from the unresolved
     fanins of nodes with a positive count. A replaced node keeps its old
     fanouts' references, so its count goes negative as they die and a dead
@@ -123,6 +142,11 @@ class _Net:
         self.strash: dict[tuple[int, int], int] = {
             ab: 2 * v for v, ab in enumerate(aig.ands, aig.first_and())}
         self.outputs = list(aig.outputs)
+        self.aig = aig
+        # Built by the first ``twinned`` call: sig[u] is node u's word under
+        # 64 seeded random input vectors.
+        self.sig: list[int] | None = None
+        self.twins: Counter[int] | None = None
 
     # -- resolution ---------------------------------------------------------
 
@@ -133,6 +157,24 @@ class _Net:
             lit = r ^ (lit & 1)
             r = self.repl.get(lit >> 1)
         return lit
+
+    # -- simulation signatures ------------------------------------------------
+
+    def twinned(self, v: int) -> bool:
+        """Whether another node has ``v``'s signature up to complement, as
+        every node computing ``v``'s function or its complement does. The
+        first call simulates the input graph, and from then on ``commit``
+        signs each node it appends. A sweep that reads the table makes that
+        call before any commit: the first AND's fanins are inputs, so its
+        visit frees that AND alone."""
+        if self.sig is None:
+            rng = random.Random(0)
+            self.sig = _node_words(self.aig, [
+                rng.getrandbits(64) for _ in range(self.n_inputs)], 64)
+            self.twins = Counter(s ^ _SIG_ONES if s & 1 else s
+                                 for s in self.sig)
+        s = self.sig[v]
+        return self.twins[s ^ _SIG_ONES if s & 1 else s] > 1
 
     # -- trial replacement ----------------------------------------------------
 
@@ -238,11 +280,17 @@ class _Net:
         if self.strash.get(key) == 2 * v:
             del self.strash[key]
         self.strash.update(new)
+        sig = self.sig
         for a, b in new:
             f0.append(a)
             f1.append(b)
             ref.append(0)
             level.append(1 + max(level[a >> 1], level[b >> 1]))
+            if sig is not None:
+                s = ((sig[a >> 1] ^ (_SIG_ONES if a & 1 else 0))
+                     & (sig[b >> 1] ^ (_SIG_ONES if b & 1 else 0)))
+                sig.append(s)
+                self.twins[s ^ _SIG_ONES if s & 1 else s] += 1
         for u, r in counts.items():
             ref[u] = r
         self.repl[v] = root
@@ -495,12 +543,20 @@ def rewrite(aig: Aig, zero_cost: bool = False) -> Aig:
     Each visit scores every cut of the node with a count-only trial of its
     compiled cover and commits the best, ties going to the earlier cut. A
     trial must beat the best gain so far, so the visit stops once that
-    exceeds the ANDs that deleting the node frees."""
+    exceeds the ANDs that deleting the node frees.
+
+    A visit that frees at most ``min_gain`` ANDs, while no other node has
+    the node's simulation signature up to complement, tries no cut. Every
+    new or revived AND would cost a gain it cannot spare, so a passing root
+    would be an existing node computing the cut's function, which is the
+    node's own; that node would have the same signature."""
     cuts = _enumerate_cuts(aig)
 
     def visit(net: _Net, v: int, min_gain: int) -> None:
         deref = net._deref(v)
         freed = len(deref[1])
+        if freed <= min_gain and not net.twinned(v):
+            return  # no trial can pass: see the module docstring
         repl, resolve = net.repl, net.resolve
         best = None
         limit = min_gain  # ties go to the earlier cut
@@ -703,6 +759,13 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
     cone holds the node (a cycle) or leaves the window drops out, as does
     one whose own walk from the leaves exceeds the budget. Candidates are
     screened on these exact tables: single divisors first, then pairs.
+
+    A visit that frees at most ``min_gain`` ANDs, while no other node has
+    the node's simulation signature up to complement, ends before its
+    window walk. Every new or revived AND would cost a gain it cannot
+    spare, so only an existing divisor, or an AND of two the net already
+    holds, equal to the node up to complement could commit; that node
+    would have the same signature.
     """
     first_and = aig.first_and()
     fanout_lists: list[list[int]] = [[] for _ in range(aig.n_nodes)]
@@ -711,6 +774,9 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
         fanout_lists[f1 >> 1].append(first_and + k)
 
     def visit(net: _Net, v: int, min_gain: int) -> None:
+        deref = net._deref(v)
+        if len(deref[1]) <= min_gain and not net.twinned(v):
+            return  # no trial can pass: see the module docstring
         f0, f1, level, repl = net.f0, net.f1, net.level, net.repl
         resolve, n_inputs = net.resolve, net.n_inputs
         # fanins[u]: u's resolved fanins; the replacements stay fixed
@@ -750,7 +816,6 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
         if _cone_tt(net, [v], memo, ones, fanins) > _CONE_BUDGET:
             return
         tt_v = memo[v]
-        deref = net._deref(v)
         mffc = set(deref[1])
         side = _side_divisors(net, v, interior, leaves, mffc, fanout_lists)
         # Window nodes are resolved already; side nodes may be replaced.

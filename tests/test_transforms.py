@@ -837,6 +837,116 @@ def test_every_sweep_visit_finds_its_and_live_and_unreplaced(
             for action in rng.choices(list(Action), k=10):
                 current = transforms._PASSES[action](current)
     assert len(visits) > 10000
+
+
+# ---------------------------------------------------------------------------
+# Simulation signatures
+# ---------------------------------------------------------------------------
+
+def _xor_twins() -> Aig:
+    """XOR built as (a&!b)|(!a&b) and as (a|b)&!(a&b), on two outputs; the
+    first form's products are outputs too, so deleting the first form's
+    root frees that node alone. Strash does not merge the two forms."""
+    bld = AigBuilder(2, "xor_twins")
+    a, b = bld.pi(0), bld.pi(1)
+    p, q = bld.and_(a, b ^ 1), bld.and_(a ^ 1, b)
+    x1 = bld.and_(p ^ 1, q ^ 1) ^ 1
+    x2 = bld.and_(bld.and_(a ^ 1, b ^ 1) ^ 1, bld.and_(a, b) ^ 1)
+    return bld.finish([x1, x2, p, q])
+
+
+def test_signature_skip_is_pure(monkeypatch, corpus_small):
+    # rw and rs skip a visit that frees at most min_gain ANDs when no other
+    # node has the visited node's signature. With the skip turned off (every
+    # node reported twinned) both passes must write the same bytes: on the
+    # small corpus, random DAGs, every intermediate circuit of seeded
+    # random ten-pass recipes, and the XOR twins, where rs reaches the twin
+    # through a visit that frees one AND and removes the duplicate: one
+    # XOR of three ANDs over the products is left.
+    import random
+
+    from aigopt.bench import array_multiplier, comparator, random_dag
+
+    circuits = list(corpus_small)
+    circuits += [random_dag(n, seed=s) for n in (60, 200, 500)
+                 for s in range(3)]
+    rng = random.Random(23)
+    for g in (array_multiplier(4), comparator(6), random_dag(300, seed=7)):
+        for _ in range(2):
+            current = g
+            for action in rng.choices(list(Action), k=10):
+                current = transforms._PASSES[action](current)
+                circuits.append(current)
+    circuits.append(_xor_twins())
+
+    def outputs():
+        return [(write_aiger(rewrite(c)), write_aiger(resub(c)))
+                for c in circuits]
+
+    twinned = transforms._Net.twinned
+    found = {False: 0, True: 0}
+
+    def counted(net, v):
+        hit = twinned(net, v)
+        found[hit] += 1
+        return hit
+
+    monkeypatch.setattr(transforms._Net, "twinned", counted)
+    with_skip = outputs()
+    assert found[False] > 1000 and found[True] > 100
+    twins_before = found[True]
+    xor = resub(_xor_twins())
+    assert found[True] > twins_before  # the twin check ran and found it
+    assert len(xor.ands) == 3 and xor.outputs[0] == xor.outputs[1]
+    assert bool(equivalent(_xor_twins(), xor))
+    monkeypatch.setattr(transforms._Net, "twinned", lambda net, v: True)
+    assert outputs() == with_skip
+
+
+def test_signatures_follow_the_net(monkeypatch):
+    # After rw and rs runs that commit, the signature table has one entry
+    # per net node and counts them up to complement; every AND, appended
+    # ones included, has the AND of its fanins' signatures; and a replaced
+    # node has its resolved literal's signature.
+    from collections import Counter
+
+    from aigopt.bench import array_multiplier, comparator, random_dag
+
+    ones = (1 << 64) - 1
+    nets = []
+
+    class Recorded(transforms._Net):
+        def __init__(self, aig):
+            super().__init__(aig)
+            nets.append(self)
+
+    def lit_sig(sig, lit):
+        return sig[lit >> 1] ^ (ones if lit & 1 else 0)
+
+    monkeypatch.setattr(transforms, "_Net", Recorded)
+    committed = appended = replaced = 0
+    for g in (array_multiplier(5), comparator(8), random_dag(300, seed=1),
+              _xor_twins()):
+        for circuit in (g, balance(g)):
+            for pass_ in (rewrite, resub):
+                nets.clear()
+                pass_(circuit)
+                (net,) = nets
+                committed += bool(net.repl)
+                sig = net.sig
+                assert len(sig) == len(net.f0) == len(net.ref)
+                assert net.twins == Counter(s ^ ones if s & 1 else s
+                                            for s in sig)
+                for u in range(1 + net.n_inputs, len(sig)):
+                    assert sig[u] == (lit_sig(sig, net.f0[u])
+                                      & lit_sig(sig, net.f1[u]))
+                for v in net.repl:
+                    assert sig[v] == lit_sig(sig, net.resolve(2 * v))
+                appended += len(sig) - circuit.n_nodes
+                replaced += len(net.repl)
+    assert committed >= 12 and appended > 100 and replaced > 100
+
+
 # ---------------------------------------------------------------------------
 
 def test_memo_shares_equal_circuits(fresh_memo, pass_runs):
