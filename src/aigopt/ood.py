@@ -38,10 +38,14 @@ class OodConfig:
 
     @classmethod
     def load(cls, path) -> "OodConfig":
-        """Reads a gate file; a field that is not a JSON number (true and
-        false are not), or one too large for a float, raises ValueError."""
-        with open(path) as fh:
-            gate = json.load(fh)
+        """Reads a gate file; a file that is not UTF-8 JSON, or a field that
+        is not a JSON number (true and false are not) or is too large for a
+        float, raises ValueError naming the file."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                gate = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: not a JSON OOD config: {exc}") from None
         values = ((gate.get("delta_th"), gate.get("temperature", 0.0))
                   if isinstance(gate, dict) else (None,))
         if all(type(v) in (int, float) for v in values):

@@ -11,14 +11,17 @@ place that reuses pass results: it memoizes them by circuit structure in a
 least-recently-used memo bounded by the ANDs it holds, which always keeps
 its hundred newest entries.
 
-Rewrite and resub skip a visit that frees at most ``min_gain`` ANDs when no
-other node has the visited node's 64-bit simulation signature up to
-complement (``_Net.twinned``). With no freed AND to spare, a passing trial
-adds or revives no AND, so its root is an existing live node, an input or
-the constant that computes the node's function up to complement. Equal
-functions have equal signatures, so without a twin no trial can commit, and
-the skip leaves every output byte as it was; in practice only ``rw`` and
-``rs`` (min gain 1) skip.
+``_sweep`` owns the working net: for each AND it walks the deletion once
+(``_Net._deref``), may skip the visit, asks the pass's visit for a trial
+and commits it; a visit only scores. The sweep skips a visit that frees at
+most ``min_gain`` ANDs when no other node has the visited node's 64-bit
+simulation signature up to complement (``_Net.twinned``). With no freed AND
+to spare, a passing trial adds or revives no AND, so its root is an existing
+live node, an input or the constant that computes the node's function up to
+complement. Equal functions have equal signatures, so without a twin no
+trial can commit, and the skip leaves every output byte as it was. ``rw``,
+``rf`` and ``rs`` (min gain 1) skip; the zero-cost passes cannot, since a
+visit frees at least its own node.
 """
 
 from __future__ import annotations
@@ -112,17 +115,13 @@ class _Net:
     runs a candidate's compiled program (``_compile``) and only counts: its
     nodes live in a dict and the counts it raises in an overlay over the
     visit's ``_deref`` counts, merged into one dict only for a trial it
-    returns. Only ``commit(v, ...)``, during ``v``'s visit, writes the net:
-    it appends the trial's ANDs, writes its counts into ``ref`` and sets
-    ``repl[v]``.
+    returns. Only ``commit(v, ...)``, which ``_sweep`` makes after ``v``'s
+    visit, writes the net: it appends the trial's ANDs, writes its counts
+    into ``ref`` and sets ``repl[v]``.
 
     ``sig`` holds each node's 64-bit simulation signature and ``twins`` the
     number of nodes per signature up to complement, for the skip rule of
-    rewrite and resub: a visit that frees at most ``min_gain`` ANDs and has
-    no twin ends there. Such a visit's passing root could only be an
-    existing node computing ``v``'s function up to complement, since any
-    new or revived AND costs the one gain it has to spare; such a node has
-    ``v``'s signature, so the skip never drops a commit.
+    the module docstring.
 
     ``ref`` counts the references from the outputs and from the unresolved
     fanins of nodes with a positive count. A replaced node keeps its old
@@ -164,9 +163,7 @@ class _Net:
         """Whether another node has ``v``'s signature up to complement, as
         every node computing ``v``'s function or its complement does. The
         first call simulates the input graph, and from then on ``commit``
-        signs each node it appends. A sweep that reads the table makes that
-        call before any commit: the first AND's fanins are inputs, so its
-        visit frees that AND alone."""
+        signs each node it appends."""
         if self.sig is None:
             rng = random.Random(0)
             self.sig = _node_words(self.aig, [
@@ -182,7 +179,8 @@ class _Net:
         """Counts of deleting ``v``, without changing ``ref``: ``counts``
         maps each node whose count would change to its new count, and
         ``freed`` lists the ANDs that would drop to zero (``v``'s MFFC).
-        A visit walks this once and passes it to each of its trials."""
+        ``_sweep`` walks this once per node, and the node's visit passes it
+        to each of its trials."""
         ref, f0, f1 = self.ref, self.f0, self.f1
         counts: dict[int, int] = {}
         freed: list[int] = []
@@ -311,17 +309,30 @@ class _Net:
 
 
 def _sweep(aig: Aig, zero_cost: bool, visit) -> Aig:
-    """Calls ``visit(net, v, min_gain)`` on every AND of a working copy of
-    ``aig``, in index order, then rebuilds it; returns ``aig`` itself when
-    the rebuild holds more ANDs. Each AND is live and unreplaced at its
-    visit: an ``Aig`` keeps only reachable ANDs, a visit lowers only counts
-    at or below its own node, and only ``v``'s commit sets ``repl[v]``."""
+    """Sweeps every AND ``v`` of a working copy of ``aig`` in index order,
+    then rebuilds it; returns ``aig`` itself when the rebuild holds more
+    ANDs. For each ``v`` it walks ``deref = net._deref(v)``, skips ``v`` by
+    the module docstring's rule, else calls ``visit(net, v, deref,
+    min_gain)``, which only reads the net and returns a trial or None, and
+    commits that trial. This is the only code that dereferences, checks
+    twins or commits, so the first twin check, which builds the signature
+    table, comes before any commit: the first AND's fanins are inputs, so
+    its visit frees that AND alone.
+
+    Each AND is live and unreplaced when the sweep reaches it: an ``Aig``
+    keeps only reachable ANDs, a commit lowers only counts at or below its
+    own node, and only ``v``'s commit sets ``repl[v]``."""
     if not aig.ands:
         return aig
     net = _Net(aig)
     min_gain = 0 if zero_cost else 1
     for v in range(aig.first_and(), aig.n_nodes):
-        visit(net, v, min_gain)
+        deref = net._deref(v)
+        if len(deref[1]) <= min_gain and not net.twinned(v):
+            continue
+        trial = visit(net, v, deref, min_gain)
+        if trial is not None:
+            net.commit(v, trial)
     result = net.to_aig(aig.name)
     return result if len(result.ands) <= len(aig.ands) else aig
 
@@ -541,34 +552,24 @@ def rewrite(aig: Aig, zero_cost: bool = False) -> Aig:
     zero with ``zero_cost``).
 
     Each visit scores every cut of the node with a count-only trial of its
-    compiled cover and commits the best, ties going to the earlier cut. A
+    compiled cover and returns the best, ties going to the earlier cut. A
     trial must beat the best gain so far, so the visit stops once that
-    exceeds the ANDs that deleting the node frees.
-
-    A visit that frees at most ``min_gain`` ANDs, while no other node has
-    the node's simulation signature up to complement, tries no cut. Every
-    new or revived AND would cost a gain it cannot spare, so a passing root
-    would be an existing node computing the cut's function, which is the
-    node's own; that node would have the same signature."""
+    exceeds the ANDs that deleting the node frees."""
     cuts = _enumerate_cuts(aig)
 
-    def visit(net: _Net, v: int, min_gain: int) -> None:
-        deref = net._deref(v)
+    def visit(net: _Net, v: int, deref, min_gain: int):
         freed = len(deref[1])
-        if freed <= min_gain and not net.twinned(v):
-            return  # no trial can pass: see the module docstring
-        repl, resolve = net.repl, net.resolve
+        resolve = net.resolve
         best = None
         limit = min_gain  # ties go to the earlier cut
         for leaves, tt in cuts[v][1:]:
             if freed < limit:
                 break  # no trial can reach the limit
-            lits = [resolve(2 * w) if w in repl else 2 * w for w in leaves]
+            lits = [resolve(2 * w) for w in leaves]
             trial = net.trial(v, deref, _resynth(tt, len(leaves)), lits, limit)
             if trial is not None:
                 best, limit = trial, trial[0] + 1
-        if best is not None:
-            net.commit(v, best)
+        return best
 
     return _sweep(aig, zero_cost, visit)
 
@@ -640,8 +641,7 @@ def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
     ``_cone_tt`` fills the table; a cone whose fill expands more than
     ``_CONE_BUDGET`` nodes is left as it is."""
 
-    def visit(net: _Net, v: int, min_gain: int) -> None:
-        deref = net._deref(v)
+    def visit(net: _Net, v: int, deref, min_gain: int):
         mffc = set(deref[1])
         # fanins[u]: the resolved fanins of each cone node, for _cone_tt
         fanins: dict[int, tuple[int, int]] = {}
@@ -660,17 +660,15 @@ def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
                     leaf_set.add(w)
         leaves = sorted(leaf_set - {0})
         if not 2 <= len(leaves) <= _REFACTOR_MAX_LEAVES:
-            return
-        if len(fanins) < 2 and not zero_cost:
-            return  # single-node cone cannot shrink
+            return None
+        if len(fanins) < 2 and min_gain > 0:
+            return None  # single-node cone cannot shrink
         memo = _leaf_tts(leaves)
         if _cone_tt(net, [v], memo, tt_ones(len(leaves)), fanins) \
                 > _CONE_BUDGET:
-            return
+            return None
         prog = _resynth(memo[v], len(leaves))
-        trial = net.trial(v, deref, prog, [2 * w for w in leaves], min_gain)
-        if trial is not None:
-            net.commit(v, trial)
+        return net.trial(v, deref, prog, [2 * w for w in leaves], min_gain)
 
     return _sweep(aig, zero_cost, visit)
 
@@ -758,14 +756,8 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
     same memo and record with the node poisoned, so that a divisor whose
     cone holds the node (a cycle) or leaves the window drops out, as does
     one whose own walk from the leaves exceeds the budget. Candidates are
-    screened on these exact tables: single divisors first, then pairs.
-
-    A visit that frees at most ``min_gain`` ANDs, while no other node has
-    the node's simulation signature up to complement, ends before its
-    window walk. Every new or revived AND would cost a gain it cannot
-    spare, so only an existing divisor, or an AND of two the net already
-    holds, equal to the node up to complement could commit; that node
-    would have the same signature.
+    screened on these exact tables: single divisors first, then pairs; the
+    first that passes is kept.
     """
     first_and = aig.first_and()
     fanout_lists: list[list[int]] = [[] for _ in range(aig.n_nodes)]
@@ -773,11 +765,8 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
         fanout_lists[f0 >> 1].append(first_and + k)
         fanout_lists[f1 >> 1].append(first_and + k)
 
-    def visit(net: _Net, v: int, min_gain: int) -> None:
-        deref = net._deref(v)
-        if len(deref[1]) <= min_gain and not net.twinned(v):
-            return  # no trial can pass: see the module docstring
-        f0, f1, level, repl = net.f0, net.f1, net.level, net.repl
+    def visit(net: _Net, v: int, deref, min_gain: int):
+        f0, f1, level = net.f0, net.f1, net.level
         resolve, n_inputs = net.resolve, net.n_inputs
         # fanins[u]: u's resolved fanins; the replacements stay fixed
         # during a visit, so every walk of the visit reads them from here.
@@ -790,9 +779,7 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
                 u = stack.pop()
                 pair = fanins.get(u)
                 if pair is None:
-                    a, b = f0[u], f1[u]
-                    pair = fanins[u] = (resolve(a) if a >> 1 in repl else a,
-                                        resolve(b) if b >> 1 in repl else b)
+                    pair = fanins[u] = (resolve(f0[u]), resolve(f1[u]))
                 for f in pair:
                     w = f >> 1
                     if w in seen:
@@ -806,15 +793,15 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
             if len(leaves) <= _RESUB_LEAF_CAP:
                 break
         else:
-            return
+            return None
         if not leaves:
-            return
+            return None
         interior.sort()
         leaves.sort()
         memo = _leaf_tts(leaves)
         ones = tt_ones(len(leaves))
         if _cone_tt(net, [v], memo, ones, fanins) > _CONE_BUDGET:
-            return
+            return None
         tt_v = memo[v]
         mffc = set(deref[1])
         side = _side_divisors(net, v, interior, leaves, mffc, fanout_lists)
@@ -857,8 +844,8 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
             trial = net.trial(v, deref, _RESUB_PROGS[len(lits), compl], lits,
                               min_gain)
             if trial is not None:
-                net.commit(v, trial)
-                return
+                return trial
+        return None
 
     return _sweep(aig, zero_cost, visit)
 

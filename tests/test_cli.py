@@ -582,6 +582,23 @@ def test_search_non_finite_gate_config_exits_two(tmp_path, capsys, gate):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("content", [b"", b"{delta_th: 0.5}\n", b"\xff\n"],
+                         ids=["empty", "not_json", "not_utf8"])
+def test_search_unreadable_gate_config_names_the_file(tmp_path, capsys,
+                                                      content):
+    circuit, model, bank = _gate_inputs(tmp_path)
+    ood_json = tmp_path / "ood.json"
+    ood_json.write_bytes(content)
+    capsys.readouterr()
+    assert run(["search", "--aig", str(circuit), "--alpha", "auto",
+                "--model", str(model), "--bank", str(bank),
+                "--ood-config", str(ood_json), "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert str(ood_json) in err
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("c_uct", ["nan", "-3", "inf"])
 def test_search_bad_c_uct_exits_two(tmp_path, capsys, c_uct):
     circuit = tmp_path / "a.aag"

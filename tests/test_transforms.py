@@ -811,22 +811,20 @@ def test_kept_trial_commits_like_a_fresh_trial_at_min_gain():
 
 def test_every_sweep_visit_finds_its_and_live_and_unreplaced(
         monkeypatch, corpus_small):
-    # _sweep visits every AND with no skip: earlier visits never free a
-    # later AND, replace it or take its strash key.
+    # _sweep dereferences every AND, skipped or visited: earlier commits
+    # never free a later AND, replace it or take its strash key.
     import random
 
-    sweep = transforms._sweep
+    deref = transforms._Net._deref
     visits = []
 
-    def checked_sweep(aig, zero_cost, visit):
-        def checked(net, v, min_gain):
-            assert net.ref[v] > 0 and v not in net.repl
-            assert net.strash[(net.f0[v], net.f1[v])] == 2 * v
-            visits.append(v)
-            visit(net, v, min_gain)
-        return sweep(aig, zero_cost, checked)
+    def checked(net, v):
+        assert net.ref[v] > 0 and v not in net.repl
+        assert net.strash[(net.f0[v], net.f1[v])] == 2 * v
+        visits.append(v)
+        return deref(net, v)
 
-    monkeypatch.setattr(transforms, "_sweep", checked_sweep)
+    monkeypatch.setattr(transforms._Net, "_deref", checked)
     swept = [a for a in Action if a != Action.BALANCE]
     rng = random.Random(17)
     for g in corpus_small:
@@ -837,6 +835,33 @@ def test_every_sweep_visit_finds_its_and_live_and_unreplaced(
             for action in rng.choices(list(Action), k=10):
                 current = transforms._PASSES[action](current)
     assert len(visits) > 10000
+
+
+def test_visits_never_write_the_net(monkeypatch, corpus_small):
+    # A visit only scores: _sweep alone commits, so across each visit of
+    # every structural pass the counts, replacements, strash table and
+    # nodes stay as they were, and so does the visit's deref walk.
+    sweep = transforms._sweep
+    visits = trials = 0
+
+    def checked_sweep(aig, zero_cost, visit):
+        def checked(net, v, deref, min_gain):
+            nonlocal visits, trials
+            before = _net_state(net)
+            walk = (dict(deref[0]), list(deref[1]))
+            trial = visit(net, v, deref, min_gain)
+            assert _net_state(net) == before and deref == walk
+            visits += 1
+            trials += trial is not None
+            return trial
+        return sweep(aig, zero_cost, checked)
+
+    monkeypatch.setattr(transforms, "_sweep", checked_sweep)
+    for g in corpus_small:
+        for action in Action:
+            if action != Action.BALANCE:
+                transforms._PASSES[action](g)
+    assert visits > 2000 and trials > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -856,13 +881,13 @@ def _xor_twins() -> Aig:
 
 
 def test_signature_skip_is_pure(monkeypatch, corpus_small):
-    # rw and rs skip a visit that frees at most min_gain ANDs when no other
-    # node has the visited node's signature. With the skip turned off (every
-    # node reported twinned) both passes must write the same bytes: on the
-    # small corpus, random DAGs, every intermediate circuit of seeded
-    # random ten-pass recipes, and the XOR twins, where rs reaches the twin
-    # through a visit that frees one AND and removes the duplicate: one
-    # XOR of three ANDs over the products is left.
+    # rw, rf and rs skip a visit that frees at most min_gain ANDs when no
+    # other node has the visited node's signature. With the skip turned off
+    # (every node reported twinned) the passes must write the same bytes:
+    # on the small corpus, random DAGs, every intermediate circuit of
+    # seeded random ten-pass recipes, and the XOR twins, where rs reaches
+    # the twin through a visit that frees one AND and removes the
+    # duplicate: one XOR of three ANDs over the products is left.
     import random
 
     from aigopt.bench import array_multiplier, comparator, random_dag
@@ -880,8 +905,8 @@ def test_signature_skip_is_pure(monkeypatch, corpus_small):
     circuits.append(_xor_twins())
 
     def outputs():
-        return [(write_aiger(rewrite(c)), write_aiger(resub(c)))
-                for c in circuits]
+        return [write_aiger(pass_(c)) for c in circuits
+                for pass_ in (rewrite, refactor, resub)]
 
     twinned = transforms._Net.twinned
     found = {False: 0, True: 0}
@@ -894,6 +919,9 @@ def test_signature_skip_is_pure(monkeypatch, corpus_small):
     monkeypatch.setattr(transforms._Net, "twinned", counted)
     with_skip = outputs()
     assert found[False] > 1000 and found[True] > 100
+    skips = found[False]
+    refactor(random_dag(300, seed=7))
+    assert found[False] > skips  # rf reaches the skip too
     twins_before = found[True]
     xor = resub(_xor_twins())
     assert found[True] > twins_before  # the twin check ran and found it
@@ -904,10 +932,10 @@ def test_signature_skip_is_pure(monkeypatch, corpus_small):
 
 
 def test_signatures_follow_the_net(monkeypatch):
-    # After rw and rs runs that commit, the signature table has one entry
-    # per net node and counts them up to complement; every AND, appended
-    # ones included, has the AND of its fanins' signatures; and a replaced
-    # node has its resolved literal's signature.
+    # After rw, rf and rs runs that commit, the signature table has one
+    # entry per net node and counts them up to complement; every AND,
+    # appended ones included, has the AND of its fanins' signatures; and a
+    # replaced node has its resolved literal's signature.
     from collections import Counter
 
     from aigopt.bench import array_multiplier, comparator, random_dag
@@ -928,7 +956,7 @@ def test_signatures_follow_the_net(monkeypatch):
     for g in (array_multiplier(5), comparator(8), random_dag(300, seed=1),
               _xor_twins()):
         for circuit in (g, balance(g)):
-            for pass_ in (rewrite, resub):
+            for pass_ in (rewrite, refactor, resub):
                 nets.clear()
                 pass_(circuit)
                 (net,) = nets
@@ -944,7 +972,7 @@ def test_signatures_follow_the_net(monkeypatch):
                     assert sig[v] == lit_sig(sig, net.resolve(2 * v))
                 appended += len(sig) - circuit.n_nodes
                 replaced += len(net.repl)
-    assert committed >= 12 and appended > 100 and replaced > 100
+    assert committed >= 20 and appended > 100 and replaced > 100
 
 
 # ---------------------------------------------------------------------------
