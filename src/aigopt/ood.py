@@ -108,11 +108,17 @@ class EmbeddingBank:
 def read_rows(reader, path):
     """The rows of the csv ``reader`` over the file at ``path``; a row the
     csv module cannot read, such as one with a field over its size limit,
-    raises ValueError naming the file and the line."""
+    raises ValueError naming the file and the line. So does a byte the
+    file's encoding cannot decode."""
     try:
         yield from reader
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # The file decodes a chunk at a time, once the reader has taken every
+        # whole line before it; count the chunk's lines up to the bad byte.
+        line = reader.line_num + 1 + exc.object.count(b"\n", 0, exc.start)
+        raise ValueError(f"{path}: line {line}: {exc}") from None
 
 
 def cosine_distance(h1: np.ndarray, h2: np.ndarray) -> float:

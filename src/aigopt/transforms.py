@@ -11,22 +11,35 @@ place that reuses pass results: it memoizes them by circuit structure in a
 least-recently-used memo bounded by the ANDs it holds, which always keeps
 its hundred newest entries.
 
-``_sweep`` owns the working net: for each AND it walks the deletion once
-(``_Net._deref``), may skip the visit, asks the pass's visit for a trial
-and commits it; a visit only scores. The sweep skips a visit that frees at
-most ``min_gain`` ANDs when no other node has the visited node's 64-bit
-simulation signature up to complement (``_Net.twinned``). With no freed AND
-to spare, a passing trial adds or revives no AND, so its root is an existing
-live node, an input or the constant that computes the node's function up to
-complement. Equal functions have equal signatures, so without a twin no
-trial can commit, and the skip leaves every output byte as it was. ``rw``,
-``rf`` and ``rs`` (min gain 1) skip; the zero-cost passes cannot, since a
-visit frees at least its own node.
+``_sweep`` owns the working net: for each AND ``v`` it walks the deletion
+once (``_Net._deref``), may skip the visit, asks the pass's visit for a trial
+and commits it; a visit only scores. A trial that gains every AND the
+deletion frees adds and revives none, so its root is an existing live node,
+an input or the constant that computes ``v``'s function up to complement,
+and has ``v``'s 64-bit simulation signature up to complement. So no trial
+gains more than the visit's *ceiling*: the freed count when another node has
+that signature (``_Net.twinned``), else one less. The sweep skips a visit
+whose ceiling is below the minimum gain, and rewrite stops trying cuts once
+the gain it needs is above the ceiling; neither changes an output byte.
+
+``rfz`` is ``_rebuild``, the working copy rebuilt with no visit, which is
+what the zero-cost refactor sweep writes: by induction over the sweep's
+order, every AND below ``v`` has been replaced by an identity copy when the
+sweep reaches ``v``, so the visit frees only ``v``, whose two-leaf cone
+resynthesizes to an identity copy again. The rebuild
+(``AigBuilder.add_cones``) mirrors node order, so ``rfz`` changes the bytes
+but not the logic.
+
+``apply`` runs each pass with the cyclic garbage collector paused. A pass
+allocates millions of short-lived objects that all die by reference count,
+since no pass code makes a reference cycle, and their allocations would
+otherwise start collections that find nothing to free.
 """
 
 from __future__ import annotations
 
 import enum
+import gc
 import heapq
 import random
 from collections import Counter, OrderedDict
@@ -120,8 +133,8 @@ class _Net:
     into ``ref`` and sets ``repl[v]``.
 
     ``sig`` holds each node's 64-bit simulation signature and ``twins`` the
-    number of nodes per signature up to complement, for the skip rule of
-    the module docstring.
+    number of nodes per signature up to complement, for the ceiling of the
+    module docstring.
 
     ``ref`` counts the references from the outputs and from the unresolved
     fanins of nodes with a positive count. A replaced node keeps its old
@@ -311,13 +324,13 @@ class _Net:
 def _sweep(aig: Aig, zero_cost: bool, visit) -> Aig:
     """Sweeps every AND ``v`` of a working copy of ``aig`` in index order,
     then rebuilds it; returns ``aig`` itself when the rebuild holds more
-    ANDs. For each ``v`` it walks ``deref = net._deref(v)``, skips ``v`` by
-    the module docstring's rule, else calls ``visit(net, v, deref,
-    min_gain)``, which only reads the net and returns a trial or None, and
-    commits that trial. This is the only code that dereferences, checks
-    twins or commits, so the first twin check, which builds the signature
-    table, comes before any commit: the first AND's fanins are inputs, so
-    its visit frees that AND alone.
+    ANDs. For each ``v`` it walks ``deref = net._deref(v)`` and computes the
+    module docstring's ceiling; it skips ``v`` when that is below
+    ``min_gain``, else calls ``visit(net, v, deref, min_gain, ceiling)``,
+    which only reads the net and returns a trial or None, and commits that
+    trial. This is the only code that dereferences, checks twins or
+    commits, and it checks twins before every visit, so the first check,
+    which builds the signature table, comes before any commit.
 
     Each AND is live and unreplaced when the sweep reaches it: an ``Aig``
     keeps only reachable ANDs, a commit lowers only counts at or below its
@@ -328,12 +341,23 @@ def _sweep(aig: Aig, zero_cost: bool, visit) -> Aig:
     min_gain = 0 if zero_cost else 1
     for v in range(aig.first_and(), aig.n_nodes):
         deref = net._deref(v)
-        if len(deref[1]) <= min_gain and not net.twinned(v):
+        freed = len(deref[1])
+        ceiling = freed if net.twinned(v) else freed - 1
+        if ceiling < min_gain:
             continue
-        trial = visit(net, v, deref, min_gain)
+        trial = visit(net, v, deref, min_gain, ceiling)
         if trial is not None:
             net.commit(v, trial)
     result = net.to_aig(aig.name)
+    return result if len(result.ands) <= len(aig.ands) else aig
+
+
+def _rebuild(aig: Aig) -> Aig:
+    """``rfz``: ``_sweep`` with no visit, which the zero-cost refactor sweep
+    equals (see the module docstring)."""
+    if not aig.ands:
+        return aig
+    result = _Net(aig).to_aig(aig.name)
     return result if len(result.ands) <= len(aig.ands) else aig
 
 
@@ -466,19 +490,24 @@ def _compile(expr: Expr, n_vars: int) -> tuple:
     order in which a candidate creates its nodes; the root is slot
     ``root_at`` complemented by ``root_neg``."""
     steps: list[tuple[int, int, int, int, int]] = []
-
-    def slot(e: Expr) -> tuple[int, int]:
-        if e[0] == "const":
-            return 0, 1 if e[1] else 0
-        if e[0] == "var":
-            return 1 + e[1], 1 if e[2] else 0
-        (i, neg_i), (j, neg_j) = slot(e[1]), slot(e[2])
-        neg = 1 if e[0] == "or" else 0
-        steps.append((i, neg_i ^ neg, j, neg_j ^ neg, neg))
-        return n_vars + len(steps), 0
-
-    root_at, root_neg = slot(expr)
+    root_at, root_neg = _compile_slot(expr, n_vars, steps)
     return tuple(steps), root_at, root_neg
+
+
+def _compile_slot(e: Expr, n_vars: int, steps: list) -> tuple[int, int]:
+    """The slot and complement flag of ``e``'s value, appending to ``steps``
+    the steps that compute it. A module-level function, not a closure in
+    ``_compile``: a recursive closure refers to itself through its cell, a
+    reference cycle that only the cyclic collector frees."""
+    if e[0] == "const":
+        return 0, 1 if e[1] else 0
+    if e[0] == "var":
+        return 1 + e[1], 1 if e[2] else 0
+    i, neg_i = _compile_slot(e[1], n_vars, steps)
+    j, neg_j = _compile_slot(e[2], n_vars, steps)
+    neg = 1 if e[0] == "or" else 0
+    steps.append((i, neg_i ^ neg, j, neg_j ^ neg, neg))
+    return n_vars + len(steps), 0
 
 
 @lru_cache(maxsize=1 << 16)
@@ -486,6 +515,35 @@ def _resynth(tt: int, n_vars: int) -> tuple:
     """The ``_compile``d factored irredundant cover of a cut/cone function
     (memoized: cut functions repeat heavily across nodes and circuits)."""
     return _compile(factor(isop(tt, 0, n_vars)), n_vars)
+
+
+def _select_cuts(keys0: list, keys1: list) -> list[tuple]:
+    """The merged cuts kept for an AND whose fanin nodes have the cut keys
+    ``keys0`` and ``keys1``, as ``(leaves, leaf set, signature, all-ones
+    table, fanin table 0, fanin table 1)``, the fanin tables expanded over
+    the leaves and not complemented."""
+    cand = {}
+    for sig0, s0, t0 in keys0:
+        for sig1, s1, t1 in keys1:
+            sig = sig0 | sig1
+            if sig.bit_count() > _CUT_SIZE:
+                continue
+            leaf_set = s0 | s1
+            if len(leaf_set) > _CUT_SIZE or leaf_set in cand:
+                continue
+            merged = tuple(sorted(leaf_set))
+            cand[leaf_set] = (len(merged), merged, leaf_set, sig,
+                              s0, t0, s1, t1)
+    # (size, leaves) is unique per cut, so the sort never compares further.
+    kept = []
+    for n, merged, leaf_set, sig, s0, t0, s1, t1 in \
+            sorted(cand.values())[:_CUTS_PER_NODE - 1]:
+        if len(s0) < n:  # a fanin cut over all n leaves is already expanded
+            t0 = _tt_expand(t0, s0, merged)
+        if len(s1) < n:
+            t1 = _tt_expand(t1, s1, merged)
+        kept.append((merged, leaf_set, sig, (1 << (1 << n)) - 1, t0, t1))
+    return kept
 
 
 def _enumerate_cuts(aig: Aig):
@@ -502,7 +560,10 @@ def _enumerate_cuts(aig: Aig):
     leaves that share a bit only lower the count, so no fitting pair is lost.
 
     Only the kept cuts are expanded. Expansion commutes with complement, so
-    a complemented fanin's table is complemented after it.
+    a complemented fanin's table is complemented after it, and the cuts are
+    selected once per fanin node pair: an AND over the same two nodes as an
+    earlier AND, as the halves of an XOR or a MUX are, keeps the same leaves
+    and applies only its own complements.
     """
     cuts: list[list[tuple[tuple[int, ...], int]]] = [[((), 0)]]
     cuts += [[((v,), 0b10)] for v in range(1, 1 + aig.n_inputs)]
@@ -510,30 +571,17 @@ def _enumerate_cuts(aig: Aig):
     keys = [[(0, frozenset(), 0)]]
     keys += [[(1 << (v & 63), frozenset((v,)), 0b10)]
              for v in range(1, 1 + aig.n_inputs)]
+    # selected[(u0, u1)]: the kept cuts of an AND over nodes u0 and u1, each
+    # with both fanin tables expanded and not yet complemented
+    selected: dict[tuple[int, int], list[tuple]] = {}
     for v, (l0, l1) in enumerate(aig.ands, aig.first_and()):
-        cand = {}
-        keys1 = keys[l1 >> 1]
-        for sig0, s0, t0 in keys[l0 >> 1]:
-            for sig1, s1, t1 in keys1:
-                sig = sig0 | sig1
-                if sig.bit_count() > _CUT_SIZE:
-                    continue
-                leaf_set = s0 | s1
-                if len(leaf_set) > _CUT_SIZE or leaf_set in cand:
-                    continue
-                merged = tuple(sorted(leaf_set))
-                cand[leaf_set] = (len(merged), merged, leaf_set, sig,
-                                  s0, t0, s1, t1)
-        # (size, leaves) is unique per cut, so the sort never compares further.
-        kept = sorted(cand.values())[:_CUTS_PER_NODE - 1]
+        pair = (l0 >> 1, l1 >> 1)
+        kept = selected.get(pair)
+        if kept is None:
+            kept = selected[pair] = _select_cuts(keys[l0 >> 1], keys[l1 >> 1])
         row = [((v,), 0b10)]
         key_row = [(1 << (v & 63), frozenset((v,)), 0b10)]
-        for n, merged, leaf_set, sig, s0, t0, s1, t1 in kept:
-            if len(s0) < n:  # a fanin cut over all n leaves is already expanded
-                t0 = _tt_expand(t0, s0, merged)
-            if len(s1) < n:
-                t1 = _tt_expand(t1, s1, merged)
-            ones = (1 << (1 << n)) - 1
+        for merged, leaf_set, sig, ones, t0, t1 in kept:
             tt = (t0 ^ ones if l0 & 1 else t0) & (t1 ^ ones if l1 & 1 else t1)
             row.append((merged, tt))
             key_row.append((sig, leaf_set, tt))
@@ -554,16 +602,15 @@ def rewrite(aig: Aig, zero_cost: bool = False) -> Aig:
     Each visit scores every cut of the node with a count-only trial of its
     compiled cover and returns the best, ties going to the earlier cut. A
     trial must beat the best gain so far, so the visit stops once that
-    exceeds the ANDs that deleting the node frees."""
+    reaches the visit's ceiling."""
     cuts = _enumerate_cuts(aig)
 
-    def visit(net: _Net, v: int, deref, min_gain: int):
-        freed = len(deref[1])
+    def visit(net: _Net, v: int, deref, min_gain: int, ceiling: int):
         resolve = net.resolve
         best = None
         limit = min_gain  # ties go to the earlier cut
         for leaves, tt in cuts[v][1:]:
-            if freed < limit:
+            if ceiling < limit:
                 break  # no trial can reach the limit
             lits = [resolve(2 * w) for w in leaves]
             trial = net.trial(v, deref, _resynth(tt, len(leaves)), lits, limit)
@@ -634,43 +681,44 @@ def _cone_tt(net: _Net, roots: list[int], memo: dict[int, int | None],
     return expanded
 
 
+def _refactor_visit(net: _Net, v: int, deref, min_gain: int, ceiling: int):
+    """``refactor``'s visit: a trial of the resynthesized MFFC of ``v``."""
+    mffc = set(deref[1])
+    # fanins[u]: the resolved fanins of each cone node, for _cone_tt
+    fanins: dict[int, tuple[int, int]] = {}
+    leaf_set = set()
+    queue = [v]
+    while queue:
+        u = queue.pop()
+        if u in fanins:
+            continue
+        pair = fanins[u] = (net.resolve(net.f0[u]), net.resolve(net.f1[u]))
+        for f in pair:
+            w = f >> 1
+            if w in mffc and w > net.n_inputs:
+                queue.append(w)
+            else:
+                leaf_set.add(w)
+    leaves = sorted(leaf_set - {0})
+    if not 2 <= len(leaves) <= _REFACTOR_MAX_LEAVES:
+        return None
+    if len(fanins) < 2 and min_gain > 0:
+        return None  # single-node cone cannot shrink
+    memo = _leaf_tts(leaves)
+    if _cone_tt(net, [v], memo, tt_ones(len(leaves)), fanins) > _CONE_BUDGET:
+        return None
+    prog = _resynth(memo[v], len(leaves))
+    return net.trial(v, deref, prog, [2 * w for w in leaves], min_gain)
+
+
 def refactor(aig: Aig, zero_cost: bool = False) -> Aig:
     """Collapses each maximum fanout-free cone (up to 10 leaves) to a truth
     table and resynthesizes it through ISOP factoring under the usual gain
     rule. The cone's walk records each node's resolved fanins, from which
     ``_cone_tt`` fills the table; a cone whose fill expands more than
-    ``_CONE_BUDGET`` nodes is left as it is."""
-
-    def visit(net: _Net, v: int, deref, min_gain: int):
-        mffc = set(deref[1])
-        # fanins[u]: the resolved fanins of each cone node, for _cone_tt
-        fanins: dict[int, tuple[int, int]] = {}
-        leaf_set = set()
-        queue = [v]
-        while queue:
-            u = queue.pop()
-            if u in fanins:
-                continue
-            pair = fanins[u] = (net.resolve(net.f0[u]), net.resolve(net.f1[u]))
-            for f in pair:
-                w = f >> 1
-                if w in mffc and w > net.n_inputs:
-                    queue.append(w)
-                else:
-                    leaf_set.add(w)
-        leaves = sorted(leaf_set - {0})
-        if not 2 <= len(leaves) <= _REFACTOR_MAX_LEAVES:
-            return None
-        if len(fanins) < 2 and min_gain > 0:
-            return None  # single-node cone cannot shrink
-        memo = _leaf_tts(leaves)
-        if _cone_tt(net, [v], memo, tt_ones(len(leaves)), fanins) \
-                > _CONE_BUDGET:
-            return None
-        prog = _resynth(memo[v], len(leaves))
-        return net.trial(v, deref, prog, [2 * w for w in leaves], min_gain)
-
-    return _sweep(aig, zero_cost, visit)
+    ``_CONE_BUDGET`` nodes is left as it is. ``rfz`` runs ``_rebuild``,
+    which the sweep with ``zero_cost`` equals."""
+    return _sweep(aig, zero_cost, _refactor_visit)
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +813,7 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
         fanout_lists[f0 >> 1].append(first_and + k)
         fanout_lists[f1 >> 1].append(first_and + k)
 
-    def visit(net: _Net, v: int, deref, min_gain: int):
+    def visit(net: _Net, v: int, deref, min_gain: int, ceiling: int):
         f0, f1, level = net.f0, net.f1, net.level
         resolve, n_inputs = net.resolve, net.n_inputs
         # fanins[u]: u's resolved fanins; the replacements stay fixed
@@ -859,7 +907,7 @@ _PASSES = {
     Action.REWRITE: partial(rewrite, zero_cost=False),
     Action.REWRITE_Z: partial(rewrite, zero_cost=True),
     Action.REFACTOR: partial(refactor, zero_cost=False),
-    Action.REFACTOR_Z: partial(refactor, zero_cost=True),
+    Action.REFACTOR_Z: _rebuild,
     Action.RESUB: partial(resub, zero_cost=False),
     Action.RESUB_Z: partial(resub, zero_cost=True),
 }
@@ -904,7 +952,13 @@ class _PassMemo:
         if hit is not None:
             self._entries.move_to_end(key)
             return hit[0]
-        result = _PASSES[action](aig)
+        was_enabled = gc.isenabled()
+        gc.disable()  # a pass's garbage all dies by reference count
+        try:
+            result = _PASSES[action](aig)
+        finally:
+            if was_enabled:
+                gc.enable()
         size = 1 + len(aig.ands) + len(result.ands)
         self._entries[key] = (result, size)
         self.ands += size

@@ -507,6 +507,32 @@ def test_calibrate_malformed_csv_row_exits_two(tmp_path, capsys, bad_file,
     assert f"{bad}: line 2" in err
 
 
+@pytest.mark.parametrize("command, content, line", [
+    ("search", b"\xff\n", 1),  # the bank of --alpha auto
+    ("calibrate", b"\xff\n", 1),  # the validation set
+    ("calibrate", b"circuit,label\n\xff.aag,0\n", 2),
+])
+def test_non_utf8_csv_names_the_file(tmp_path, capsys, command, content,
+                                     line):
+    circuit, model, bank = _gate_inputs(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    capsys.readouterr()
+    if command == "search":
+        gate = tmp_path / "ood.json"
+        gate.write_text('{"delta_th": 0.5}')
+        argv = ["search", "--aig", str(circuit), "--alpha", "auto",
+                "--model", str(model), "--bank", str(bad),
+                "--ood-config", str(gate), "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]
+    else:
+        argv = ["calibrate", "--model", str(model), "--bank", str(bank),
+                "--validation", str(bad), "--out", str(tmp_path / "ood.json")]
+    assert run(argv) == 2
+    err = _assert_one_line_error(capsys)
+    assert f"{bad}: line {line}:" in err
+
+
 def test_bench_command(tmp_path):
     paths = []
     for family, size in (("ripple_adder", 3), ("mux_tree", 2)):

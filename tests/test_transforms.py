@@ -197,6 +197,11 @@ def test_cut_enumeration_matches_parent_digest():
         repr(transforms._enumerate_cuts(g)).encode()).hexdigest()
         for g in corpus}
     assert digests == _CUT_DIGESTS
+    # An AND over the same fanin nodes as an earlier AND reuses that AND's
+    # cut selection; enough of them repeat to exercise it.
+    ands = array_multiplier(6).ands
+    pairs = {(a >> 1, b >> 1) for a, b in ands}
+    assert len(ands) - len(pairs) > len(ands) // 10
 
 
 def _enumerate_cuts_reference(aig):
@@ -273,6 +278,34 @@ def test_refactor_monotone_and_equivalent(corpus_small):
         hz = refactor(g, zero_cost=True)
         assert len(hz.ands) <= len(g.ands), g.name
         assert bool(equivalent(g, hz)), g.name
+
+
+def test_rfz_is_the_zero_cost_refactor_sweep(corpus_small):
+    # rfz runs the bare rebuild: every zero-cost refactor visit commits an
+    # identity copy, so the sweep writes the same bytes, on the small
+    # corpus, random DAGs and every intermediate circuit of seeded random
+    # ten-pass recipes.
+    import random
+
+    from aigopt.bench import array_multiplier, comparator, random_dag
+
+    circuits = list(corpus_small)
+    circuits += [random_dag(n, seed=s) for n in (60, 200, 500)
+                 for s in range(3)]
+    rng = random.Random(29)
+    for g in (array_multiplier(5), comparator(8), random_dag(300, seed=2)):
+        for _ in range(2):
+            current = g
+            for action in rng.choices(list(Action), k=10):
+                current = transforms._PASSES[action](current)
+                circuits.append(current)
+    rebuilt = 0
+    for c in circuits:
+        rfz = transforms._PASSES[Action.REFACTOR_Z](c)
+        sweep = transforms._sweep(c, True, transforms._refactor_visit)
+        assert write_aiger(rfz) == write_aiger(sweep), c.name
+        rebuilt += rfz.ands != c.ands
+    assert rebuilt > len(circuits) // 2  # the mirrored order shows
 
 
 # ---------------------------------------------------------------------------
@@ -845,11 +878,11 @@ def test_visits_never_write_the_net(monkeypatch, corpus_small):
     visits = trials = 0
 
     def checked_sweep(aig, zero_cost, visit):
-        def checked(net, v, deref, min_gain):
+        def checked(net, v, deref, min_gain, ceiling):
             nonlocal visits, trials
             before = _net_state(net)
             walk = (dict(deref[0]), list(deref[1]))
-            trial = visit(net, v, deref, min_gain)
+            trial = visit(net, v, deref, min_gain, ceiling)
             assert _net_state(net) == before and deref == walk
             visits += 1
             trials += trial is not None
@@ -881,14 +914,18 @@ def _xor_twins() -> Aig:
 
 
 def test_signature_skip_is_pure(monkeypatch, corpus_small):
-    # rw, rf and rs skip a visit that frees at most min_gain ANDs when no
-    # other node has the visited node's signature. With the skip turned off
-    # (every node reported twinned) the passes must write the same bytes:
-    # on the small corpus, random DAGs, every intermediate circuit of
-    # seeded random ten-pass recipes, and the XOR twins, where rs reaches
-    # the twin through a visit that frees one AND and removes the
-    # duplicate: one XOR of three ANDs over the products is left.
+    # A visit's ceiling is the ANDs it frees, less one when no other node
+    # has the visited node's signature: rw, rf and rs skip a visit whose
+    # ceiling is below their min gain, and rewrite stops trying cuts once
+    # its best trial reaches the ceiling. With every node reported twinned
+    # the ceiling is the freed count, so neither happens, and the passes
+    # must write the same bytes: on the small corpus, random DAGs, every
+    # intermediate circuit of seeded random ten-pass recipes, and the XOR
+    # twins, where rs reaches the twin through a visit that frees one AND
+    # and removes the duplicate: one XOR of three ANDs over the products
+    # is left.
     import random
+    from functools import partial
 
     from aigopt.bench import array_multiplier, comparator, random_dag
 
@@ -906,7 +943,8 @@ def test_signature_skip_is_pure(monkeypatch, corpus_small):
 
     def outputs():
         return [write_aiger(pass_(c)) for c in circuits
-                for pass_ in (rewrite, refactor, resub)]
+                for pass_ in (rewrite, partial(rewrite, zero_cost=True),
+                              refactor, resub)]
 
     twinned = transforms._Net.twinned
     found = {False: 0, True: 0}
@@ -916,9 +954,36 @@ def test_signature_skip_is_pure(monkeypatch, corpus_small):
         found[hit] += 1
         return hit
 
+    # Each visit runs again with the freed count as its ceiling, which
+    # must give the same trial; the stop fired where that tried more cuts.
+    trial = transforms._Net.trial
+    sweep = transforms._sweep
+    trials = stops = 0
+
+    def counted_trial(*args):
+        nonlocal trials
+        trials += 1
+        return trial(*args)
+
+    def checked_sweep(aig, zero_cost, visit):
+        def checked(net, v, deref, min_gain, ceiling):
+            nonlocal stops
+            before = trials
+            kept = visit(net, v, deref, min_gain, ceiling)
+            tried = trials - before
+            assert visit(net, v, deref, min_gain, len(deref[1])) == kept
+            uncapped = trials - before - tried
+            stops += uncapped > tried
+            return kept
+        return sweep(aig, zero_cost, checked)
+
     monkeypatch.setattr(transforms._Net, "twinned", counted)
+    monkeypatch.setattr(transforms._Net, "trial", counted_trial)
+    monkeypatch.setattr(transforms, "_sweep", checked_sweep)
     with_skip = outputs()
     assert found[False] > 1000 and found[True] > 100
+    assert stops > 1000
+    monkeypatch.setattr(transforms, "_sweep", sweep)
     skips = found[False]
     refactor(random_dag(300, seed=7))
     assert found[False] > skips  # rf reaches the skip too
@@ -994,6 +1059,56 @@ def test_memo_keys_on_name(fresh_memo, pass_runs):
     assert apply(g, Action.REWRITE).name == g.name
     assert apply(renamed, Action.REWRITE).name == "other"
     assert len(pass_runs) == 2 and len(fresh_memo._entries) == 2
+
+
+def test_pass_runs_leave_no_cyclic_garbage(fresh_memo, corpus_small):
+    # apply pauses the cyclic collector during a pass run, which holds back
+    # nothing only while the passes free all their objects by reference
+    # count. The resynthesis cache is cleared, so that every cover is
+    # compiled again.
+    import gc
+    import random
+
+    from aigopt.bench import array_multiplier, random_dag
+
+    circuits = list(corpus_small)
+    rng = random.Random(31)
+    for g in (array_multiplier(4), random_dag(200, seed=3)):
+        for _ in range(2):
+            current = g
+            for action in rng.choices(list(Action), k=10):
+                current = transforms._PASSES[action](current)
+                circuits.append(current)
+    transforms._resynth.cache_clear()
+    gc.collect()
+    for action in Action:
+        for c in circuits:
+            apply(c, action)
+        assert gc.collect() == 0, action.code
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_apply_leaves_the_collector_as_it_found_it(monkeypatch, fresh_memo,
+                                                   enabled):
+    import gc
+
+    from aigopt.bench import ripple_adder
+
+    def failing(aig):
+        raise RuntimeError("pass failed")
+
+    monkeypatch.setattr(transforms, "_PASSES",
+                        {**transforms._PASSES, Action.REWRITE: failing})
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        apply(ripple_adder(3), Action.BALANCE)
+        assert gc.isenabled() == enabled
+        with pytest.raises(RuntimeError, match="pass failed"):
+            apply(ripple_adder(3), Action.REWRITE)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_memo_stays_within_its_bounds(monkeypatch):
