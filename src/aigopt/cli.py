@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 from . import bench as bench_mod
-from .aig import parse_aiger, write_aiger
+from .aig import AigerError, parse_aiger, write_aiger
 from .mcts import MctsConfig, RecipeEvaluator, TraceRow, generate_recipe
 from .transforms import DEFAULT_RECIPE_LEN
 
@@ -81,13 +81,19 @@ def _write_manifest(target: Path, args, outputs: list[str],
 
 
 def _load_circuit(path: Path):
-    return parse_aiger(path.read_bytes(), name=path.stem)
+    try:
+        return parse_aiger(path.read_bytes(), name=path.stem)
+    except AigerError as exc:
+        raise AigerError(f"{path}: {exc}") from None
 
 
 def _load_model(path: str):
     from . import policy
 
-    return policy.load(path)
+    try:
+        return policy.load(path)
+    except policy.ModelFormatError as exc:
+        raise policy.ModelFormatError(f"{path}: {exc}") from None
 
 
 def _write_trace_csv(path: Path, trace) -> None:

@@ -198,9 +198,6 @@ def search(evaluator: RecipeEvaluator, prefix: tuple[Action, ...],
         node = tree
         try:
             while True:
-                if len(leaf) == recipe_len:
-                    value = evaluator.terminal_reward(leaf)
-                    break
                 action = select(node, config.c_uct, config.alpha)
                 path.append((node, action))
                 leaf = leaf + (Action(action),)
@@ -208,7 +205,7 @@ def search(evaluator: RecipeEvaluator, prefix: tuple[Action, ...],
                 if action not in node.children:
                     node.children[action] = SearchNode(
                         list(prior(leaf)) if want_prior else None)
-                if unvisited:
+                if unvisited or len(leaf) == recipe_len:
                     value = rollout(evaluator, leaf, rng, config)
                     break
                 node = node.children[action]

@@ -42,7 +42,8 @@ _ADAM_EPS = 1e-8
 
 class ModelFormatError(ValueError):
     """Model file is not readable: bad magic, version, checksum, a header
-    whose tensors differ from the network's, or a NaN or infinite value."""
+    that is not UTF-8 JSON or whose tensors differ from the network's, or a
+    NaN or infinite value."""
 
 
 class NonFiniteError(ValueError):
@@ -542,7 +543,10 @@ def load(path) -> PolicyNetwork:
             f"(expected {_FORMAT_VERSION})")
     header_len, = struct.unpack_from("<I", body, offset)
     offset += 4
-    header = json.loads(body[offset:offset + header_len].decode("utf-8"))
+    try:
+        header = json.loads(body[offset:offset + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelFormatError(f"model header is not UTF-8 JSON: {exc}") from exc
     offset += header_len
     try:
         config = PolicyConfig(**header["config"])

@@ -22,13 +22,14 @@ that signature (``_Net.twinned``), else one less. The sweep skips a visit
 whose ceiling is below the minimum gain, and rewrite stops trying cuts once
 the gain it needs is above the ceiling; neither changes an output byte.
 
-``rfz`` is ``_rebuild``, the working copy rebuilt with no visit, which is
-what the zero-cost refactor sweep writes: by induction over the sweep's
+``_emit`` writes every structural pass's result: the cones of the outputs,
+added by ``AigBuilder.add_cones``, which mirrors node order. ``rfz`` is
+``_rebuild``, the input itself through ``_emit`` with no working net, which
+is what the zero-cost refactor sweep writes: by induction over the sweep's
 order, every AND below ``v`` has been replaced by an identity copy when the
 sweep reaches ``v``, so the visit frees only ``v``, whose two-leaf cone
-resynthesizes to an identity copy again. The rebuild
-(``AigBuilder.add_cones``) mirrors node order, so ``rfz`` changes the bytes
-but not the logic.
+resynthesizes to an identity copy again. So ``rfz`` changes the bytes but
+not the logic.
 
 ``apply`` runs each pass with the cyclic garbage collector paused. A pass
 allocates millions of short-lived objects that all die by reference count,
@@ -132,9 +133,11 @@ class _Net:
     visit, writes the net: it appends the trial's ANDs, writes its counts
     into ``ref`` and sets ``repl[v]``.
 
-    ``sig`` holds each node's 64-bit simulation signature and ``twins`` the
-    number of nodes per signature up to complement, for the ceiling of the
-    module docstring.
+    ``sig[u]`` holds node ``u``'s 64-bit simulation signature, its word
+    under 64 seeded random input vectors, and ``twins`` the number of nodes
+    per signature up to complement, for the ceiling of the module
+    docstring. The constructor simulates the input graph; ``commit`` signs
+    each node it appends.
 
     ``ref`` counts the references from the outputs and from the unresolved
     fanins of nodes with a positive count. A replaced node keeps its old
@@ -153,12 +156,10 @@ class _Net:
         self.repl: dict[int, int] = {}
         self.strash: dict[tuple[int, int], int] = {
             ab: 2 * v for v, ab in enumerate(aig.ands, aig.first_and())}
-        self.outputs = list(aig.outputs)
-        self.aig = aig
-        # Built by the first ``twinned`` call: sig[u] is node u's word under
-        # 64 seeded random input vectors.
-        self.sig: list[int] | None = None
-        self.twins: Counter[int] | None = None
+        rng = random.Random(0)
+        self.sig = _node_words(aig, [
+            rng.getrandbits(64) for _ in range(aig.n_inputs)], 64)
+        self.twins = Counter(s ^ _SIG_ONES if s & 1 else s for s in self.sig)
 
     # -- resolution ---------------------------------------------------------
 
@@ -174,15 +175,7 @@ class _Net:
 
     def twinned(self, v: int) -> bool:
         """Whether another node has ``v``'s signature up to complement, as
-        every node computing ``v``'s function or its complement does. The
-        first call simulates the input graph, and from then on ``commit``
-        signs each node it appends."""
-        if self.sig is None:
-            rng = random.Random(0)
-            self.sig = _node_words(self.aig, [
-                rng.getrandbits(64) for _ in range(self.n_inputs)], 64)
-            self.twins = Counter(s ^ _SIG_ONES if s & 1 else s
-                                 for s in self.sig)
+        every node computing ``v``'s function or its complement does."""
         s = self.sig[v]
         return self.twins[s ^ _SIG_ONES if s & 1 else s] > 1
 
@@ -257,7 +250,7 @@ class _Net:
             vals.append(lit ^ neg_out)
         root = vals[root_at] ^ root_neg
         if root >> 1 == v:
-            return None
+            return None  # replacing v by itself would make resolve loop
         if gain - len(new) < min_gain and not zeroed:
             return None  # every added node lies under the root and costs one
         if len(new) == 1 and root >> 1 == n and (f0[v], f1[v]) in new \
@@ -291,46 +284,41 @@ class _Net:
         if self.strash.get(key) == 2 * v:
             del self.strash[key]
         self.strash.update(new)
-        sig = self.sig
+        sig, twins = self.sig, self.twins
         for a, b in new:
             f0.append(a)
             f1.append(b)
             ref.append(0)
             level.append(1 + max(level[a >> 1], level[b >> 1]))
-            if sig is not None:
-                s = ((sig[a >> 1] ^ (_SIG_ONES if a & 1 else 0))
-                     & (sig[b >> 1] ^ (_SIG_ONES if b & 1 else 0)))
-                sig.append(s)
-                self.twins[s ^ _SIG_ONES if s & 1 else s] += 1
+            s = ((sig[a >> 1] ^ (_SIG_ONES if a & 1 else 0))
+                 & (sig[b >> 1] ^ (_SIG_ONES if b & 1 else 0)))
+            sig.append(s)
+            twins[s ^ _SIG_ONES if s & 1 else s] += 1
         for u, r in counts.items():
             ref[u] = r
         self.repl[v] = root
 
-    # -- final rebuild --------------------------------------------------------
 
-    def to_aig(self, name: str) -> Aig:
-        """Rebuilds the live graph through the replacements: the cones of
-        the resolved outputs, added by ``AigBuilder.add_cones``."""
-        builder = AigBuilder(self.n_inputs, name)
-        # the constant and the inputs keep their literals
-        lits = {v: 2 * v for v in range(1 + self.n_inputs)}
-        outs = [self.resolve(o) for o in self.outputs]
-        f0, f1, resolve = self.f0, self.f1, self.resolve
-        builder.add_cones([r >> 1 for r in outs],
-                          lambda u: (resolve(f0[u]), resolve(f1[u])), lits)
-        return builder.finish([lits[r >> 1] ^ (r & 1) for r in outs])
+def _emit(aig: Aig, outputs: list[int], fanins) -> Aig:
+    """The graph named as ``aig`` over its inputs with the cones of the
+    literals ``outputs`` as outputs, AND ``u``'s fanins being ``fanins(u)``:
+    the constant and the inputs keep their literals, and
+    ``AigBuilder.add_cones`` adds the ANDs."""
+    builder = AigBuilder(aig.n_inputs, aig.name)
+    lits = {v: 2 * v for v in range(aig.first_and())}
+    builder.add_cones([r >> 1 for r in outputs], fanins, lits)
+    return builder.finish([lits[r >> 1] ^ (r & 1) for r in outputs])
 
 
 def _sweep(aig: Aig, zero_cost: bool, visit) -> Aig:
     """Sweeps every AND ``v`` of a working copy of ``aig`` in index order,
-    then rebuilds it; returns ``aig`` itself when the rebuild holds more
-    ANDs. For each ``v`` it walks ``deref = net._deref(v)`` and computes the
-    module docstring's ceiling; it skips ``v`` when that is below
-    ``min_gain``, else calls ``visit(net, v, deref, min_gain, ceiling)``,
-    which only reads the net and returns a trial or None, and commits that
-    trial. This is the only code that dereferences, checks twins or
-    commits, and it checks twins before every visit, so the first check,
-    which builds the signature table, comes before any commit.
+    then ``_emit``s it through the replacements; returns ``aig`` itself
+    when the result holds more ANDs. For each ``v`` it walks ``deref =
+    net._deref(v)`` and computes the module docstring's ceiling; it skips
+    ``v`` when that is below ``min_gain``, else calls ``visit(net, v,
+    deref, min_gain, ceiling)``, which only reads the net and returns a
+    trial or None, and commits that trial. This is the only code that
+    dereferences, checks twins or commits.
 
     Each AND is live and unreplaced when the sweep reaches it: an ``Aig``
     keeps only reachable ANDs, a commit lowers only counts at or below its
@@ -348,17 +336,18 @@ def _sweep(aig: Aig, zero_cost: bool, visit) -> Aig:
         trial = visit(net, v, deref, min_gain, ceiling)
         if trial is not None:
             net.commit(v, trial)
-    result = net.to_aig(aig.name)
+    resolve, f0, f1 = net.resolve, net.f0, net.f1
+    result = _emit(aig, [resolve(o) for o in aig.outputs],
+                   lambda u: (resolve(f0[u]), resolve(f1[u])))
     return result if len(result.ands) <= len(aig.ands) else aig
 
 
 def _rebuild(aig: Aig) -> Aig:
-    """``rfz``: ``_sweep`` with no visit, which the zero-cost refactor sweep
-    equals (see the module docstring)."""
-    if not aig.ands:
-        return aig
-    result = _Net(aig).to_aig(aig.name)
-    return result if len(result.ands) <= len(aig.ands) else aig
+    """``rfz``: ``aig`` through ``_emit`` over its own fanins, which the
+    zero-cost refactor sweep equals (see the module docstring). With no
+    replacements the result never holds more ANDs than ``aig``."""
+    pad = [(0, 0)] * aig.first_and()  # puts AND u's fanins at index u
+    return _emit(aig, aig.outputs, (pad + aig.ands).__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -716,6 +716,41 @@ def test_search_cyclic_aiger_exits_two(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_bench_cyclic_second_circuit_names_its_file(tmp_path, capsys):
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    cyclic = tmp_path / "b.aag"
+    cyclic.write_bytes(b"aag 3 1 0 1 2\n2\n4\n4 2 6\n6 2 4\n")
+    capsys.readouterr()
+    assert run(["bench", "--test", str(circuit), str(cyclic),
+                "--methods", "pure_mcts", "--budget", "3", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert f"{cyclic}: cyclic gate definition" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_model_header_not_utf8_names_its_file(tmp_path, capsys):
+    import hashlib
+    import struct
+
+    circuit = tmp_path / "a.aag"
+    run(["gen", "--family", "ripple_adder", "--size", "3", "--out", str(circuit)])
+    model, _ = _tiny_model_and_bank(tmp_path, circuit)
+    data = model.read_bytes()[:-32]
+    header_len, = struct.unpack_from("<I", data, 12)
+    body = (data[:12] + struct.pack("<I", 2) + b"\xff\xfe"
+            + data[16 + header_len:])
+    model.write_bytes(body + hashlib.sha256(body).digest())
+    capsys.readouterr()
+    assert run(["search", "--aig", str(circuit), "--alpha", "1",
+                "--model", str(model), "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert f"{model}: model header is not UTF-8 JSON" in err
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("gate", ['{"delta_th": 0.5, "temperature": true}',
                                   '{"delta_th": true}'],
                          ids=["bool_temperature", "bool_delta_th"])

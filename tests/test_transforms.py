@@ -280,11 +280,11 @@ def test_refactor_monotone_and_equivalent(corpus_small):
         assert bool(equivalent(g, hz)), g.name
 
 
-def test_rfz_is_the_zero_cost_refactor_sweep(corpus_small):
-    # rfz runs the bare rebuild: every zero-cost refactor visit commits an
-    # identity copy, so the sweep writes the same bytes, on the small
-    # corpus, random DAGs and every intermediate circuit of seeded random
-    # ten-pass recipes.
+def test_rfz_is_the_zero_cost_refactor_sweep(monkeypatch, corpus_small):
+    # rfz runs the bare rebuild, with no working net: every zero-cost
+    # refactor visit commits an identity copy, so the sweep writes the same
+    # bytes, on the small corpus, random DAGs and every intermediate circuit
+    # of seeded random ten-pass recipes.
     import random
 
     from aigopt.bench import array_multiplier, comparator, random_dag
@@ -299,10 +299,21 @@ def test_rfz_is_the_zero_cost_refactor_sweep(corpus_small):
             for action in rng.choices(list(Action), k=10):
                 current = transforms._PASSES[action](current)
                 circuits.append(current)
+    nets = []
+
+    class Recorded(transforms._Net):
+        def __init__(self, aig):
+            super().__init__(aig)
+            nets.append(self)
+
+    monkeypatch.setattr(transforms, "_Net", Recorded)
     rebuilt = 0
     for c in circuits:
         rfz = transforms._PASSES[Action.REFACTOR_Z](c)
+        assert not nets, c.name
         sweep = transforms._sweep(c, True, transforms._refactor_visit)
+        assert len(nets) == bool(c.ands)
+        nets.clear()
         assert write_aiger(rfz) == write_aiger(sweep), c.name
         rebuilt += rfz.ands != c.ands
     assert rebuilt > len(circuits) // 2  # the mirrored order shows
@@ -997,10 +1008,11 @@ def test_signature_skip_is_pure(monkeypatch, corpus_small):
 
 
 def test_signatures_follow_the_net(monkeypatch):
-    # After rw, rf and rs runs that commit, the signature table has one
-    # entry per net node and counts them up to complement; every AND,
-    # appended ones included, has the AND of its fanins' signatures; and a
-    # replaced node has its resolved literal's signature.
+    # The net's constructor builds the whole signature table. After rw, rf
+    # and rs runs that commit, the table has one entry per net node and
+    # counts them up to complement; every AND, appended ones included, has
+    # the AND of its fanins' signatures; and a replaced node has its
+    # resolved literal's signature.
     from collections import Counter
 
     from aigopt.bench import array_multiplier, comparator, random_dag
@@ -1011,6 +1023,9 @@ def test_signatures_follow_the_net(monkeypatch):
     class Recorded(transforms._Net):
         def __init__(self, aig):
             super().__init__(aig)
+            assert len(self.sig) == len(self.f0) == aig.n_nodes
+            assert self.twins == Counter(s ^ ones if s & 1 else s
+                                         for s in self.sig)
             nets.append(self)
 
     def lit_sig(sig, lit):
