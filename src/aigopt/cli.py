@@ -96,6 +96,22 @@ def _load_model(path: str):
         raise policy.ModelFormatError(f"{path}: {exc}") from None
 
 
+def _load_bank(path: str, net):
+    """The embedding bank at ``path`` for the model ``net``: a bank with no
+    entry, or whose embeddings are not the model's width, is a ValueError
+    naming the file."""
+    from . import ood
+
+    bank = ood.EmbeddingBank.load_csv(path)
+    if not bank.entries:
+        raise ValueError(f"{path}: embedding bank is empty")
+    width, model_width = bank.entries[0][1].size, 2 * net.config.d_hidden
+    if width != model_width:
+        raise ValueError(f"{path}: bank embeddings have {width} values, but "
+                         f"the model's have {model_width}")
+    return bank
+
+
 def _write_trace_csv(path: Path, trace) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -138,7 +154,7 @@ def cmd_search(args) -> tuple[Path, list[str]]:
     if args.alpha == "auto":
         from . import ood as ood_mod
 
-        bank = ood_mod.EmbeddingBank.load_csv(args.bank)
+        bank = _load_bank(args.bank, net)
         cfg = ood_mod.OodConfig.load(args.ood_config)
         d_min, nearest = ood_mod.min_distance(net.encode_aig(aig), bank)
         alpha_value = ood_mod.alpha(d_min, cfg)
@@ -217,24 +233,26 @@ def cmd_calibrate(args) -> tuple[Path, list[str]]:
     from . import ood as ood_mod
 
     net = _load_model(args.model)
-    bank = ood_mod.EmbeddingBank.load_csv(args.bank)
+    bank = _load_bank(args.bank, net)
     validation = []
     with open(args.validation, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(ood_mod.read_rows(reader, args.validation), None)
-        if header and header[0] != "circuit":
-            fh.seek(0)
-            reader = csv.reader(fh)
-        for row in ood_mod.read_rows(reader, args.validation):
-            if not row:
+        for i, row in enumerate(ood_mod.read_rows(reader, args.validation)):
+            if not row or (i == 0 and row[0] == "circuit"):  # the header
                 continue
+            where = f"{args.validation}: line {reader.line_num}"
             try:
                 path, label = row[0], int(row[1])
             except (IndexError, ValueError):
-                raise ValueError(f"{args.validation}: line {reader.line_num}: "
-                                 "expected circuit_path,winner_label") from None
+                raise ValueError(f"{where}: expected circuit_path,"
+                                 "winner_label") from None
+            if label not in (0, 1):
+                raise ValueError(f"{where}: winner label must be 0 or 1, "
+                                 f"got {label}")
             circuit = _load_circuit(Path(path))
             validation.append((circuit.name, net.encode_aig(circuit), label))
+    if not validation:
+        raise ValueError(f"{args.validation}: validation set is empty")
     delta_th = ood_mod.calibrate([(h, lbl) for _, h, lbl in validation], bank)
     gate = ood_mod.OodConfig(delta_th, args.temperature)
     out = _output_file(args.out)
@@ -266,11 +284,7 @@ def cmd_bench(args) -> tuple[Path, list[str]]:
             raise ValueError(f"test circuits repeat the name {path.stem!r}")
         circuits[path.stem] = _load_circuit(path)
     net = _load_model(args.model) if args.model else None
-    bank = None
-    if args.bank:
-        from . import ood as ood_mod
-
-        bank = ood_mod.EmbeddingBank.load_csv(args.bank)
+    bank = _load_bank(args.bank, net) if needs_gate else None
     report = bench_mod.evaluate(
         methods, circuits, policy=net, bank=bank, delta_th=args.delta_th,
         budget=args.budget, seeds=tuple(range(args.seeds)),

@@ -69,6 +69,8 @@ class EmbeddingBank:
             raise ValueError("embedding dimension mismatch")
         if not np.all(np.isfinite(h)):
             raise ValueError("embedding contains non-finite values")
+        if np.linalg.norm(h) == 0.0:
+            raise ValueError("cosine distance undefined for zero-norm vectors")
         self.entries.append((circuit_id, h))
 
     def save_csv(self, path) -> None:
@@ -81,8 +83,9 @@ class EmbeddingBank:
 
     @classmethod
     def load_csv(cls, path) -> "EmbeddingBank":
-        """Reads a bank written by ``save_csv``; a malformed row raises
-        ValueError naming the file and the line."""
+        """Reads a bank written by ``save_csv``; a malformed row, or one
+        that ``add`` refuses, raises ValueError naming the file and the
+        line."""
         bank = cls()
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -101,7 +104,10 @@ class EmbeddingBank:
                 if values.size != dim:
                     raise ValueError(f"{where}: dim is {dim} but the row holds "
                                      f"{values.size} values")
-                bank.add(row[0], values)
+                try:
+                    bank.add(row[0], values)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
         return bank
 
 

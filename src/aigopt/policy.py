@@ -140,12 +140,11 @@ def node_features(aig: Aig) -> np.ndarray:
 def normalized_adjacency(aig: Aig) -> tuple[np.ndarray, np.ndarray,
                                               np.ndarray]:
     """Symmetric degree-normalized adjacency D^-1/2 A D^-1/2 of the
-    undirected fanin graph with self-loops, as CSR arrays
-    ``(indptr, indices, data)``: row i's entries sit at
-    ``indptr[i]:indptr[i + 1]`` with their columns sorted. A node listed
+    undirected fanin graph with self-loops, as COO arrays
+    ``(rows, cols, data)`` sorted by row and then by column. A node listed
     twice among one AND's fanins is one entry with count 2, and each
-    entry is ``(inv[r] * count) * inv[c]`` with ``inv = 1 / sqrt(degree)``,
-    the arrays and bits that SciPy's ``D @ A @ D`` gives."""
+    entry is ``(inv[r] * count) * inv[c]`` with ``inv = 1 / sqrt(degree)``:
+    the entries, in order, and the bits of SciPy's canonical ``D @ A @ D``."""
     n = aig.n_nodes
     u = np.arange(aig.first_and(), n, dtype=np.int64)
     fanins = np.array(aig.ands, dtype=np.int64).reshape(-1, 2) >> 1
@@ -154,47 +153,27 @@ def normalized_adjacency(aig: Aig) -> tuple[np.ndarray, np.ndarray,
     cols = np.concatenate([loops, fanins[:, 0], u, fanins[:, 1], u])
     keys, counts = np.unique(rows * n + cols, return_counts=True)
     r, c = keys // n, keys % n
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(r, minlength=n), out=indptr[1:])
     inv = 1.0 / np.sqrt(np.bincount(r, weights=counts, minlength=n))
-    return indptr, c, (inv[r] * counts) * inv[c]
+    return r, c, (inv[r] * counts) * inv[c]
 
 
-def _spmm_plan(csr) -> tuple:
-    """Precomputes ``_spmm`` for one CSR matrix: the k-th entries of all
-    rows that have one form one contiguous step, rows ordered longest
-    first, so step k adds to a prefix of the rows."""
-    indptr, indices, data = csr
-    lengths = np.diff(indptr)
-    perm = np.argsort(-lengths, kind="stable")
-    longest_first = lengths[perm]
-    counts = [int(np.count_nonzero(longest_first > k))
-              for k in range(int(longest_first[0]))]
-    order = np.concatenate([indptr[perm[:c]] + k
-                            for k, c in enumerate(counts)])
-    return indices[order], data[order, None], counts, np.argsort(perm)
-
-
-def _spmm(plan, x: np.ndarray) -> np.ndarray:
-    """Sparse-dense product ``A @ x`` for ``plan = _spmm_plan(A)``. Each
-    output row starts at zero and adds ``data[jj] * x[indices[jj]]`` over
-    its entries in stored order, which is the order of SciPy's
-    ``csr_matvecs``, so the bits match SciPy's."""
-    cols, weights, counts, unperm = plan
-    products = np.take(x, cols, axis=0)
-    products *= weights  # in place: one nnz-row temporary, not two
-    out = np.zeros((len(unperm), x.shape[1]))
-    start = 0
-    for count in counts:
-        out[:count] += products[start:start + count]
-        start += count
-    return out[unperm]
+def _spmm(adj, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for the COO arrays ``adj`` of ``normalized_adjacency``: one
+    ``np.bincount`` over the output's flattened (row, column) slots adds each
+    ``data[e] * x[cols[e]]`` to its slot from zero, in entry order. That is
+    the order of SciPy's ``csr_matvecs``, so every bit, signed zeros too, is
+    SciPy's; ``test_normalized_adjacency_and_product_match_scipy_bit_for_bit``
+    pins it."""
+    rows, cols, data = adj
+    slots = (rows * x.shape[1])[:, None] + np.arange(x.shape[1])
+    products = x[cols]
+    products *= data[:, None]  # in place: one nnz-by-width temporary, not two
+    return np.bincount(slots.ravel(), products.ravel(), x.size).reshape(x.shape)
 
 
 def _graph(aig: Aig) -> tuple[tuple, np.ndarray]:
-    """The encoder's input: (the adjacency's ``_spmm`` plan, node
-    features)."""
-    return _spmm_plan(normalized_adjacency(aig)), node_features(aig)
+    """The encoder's input: (``normalized_adjacency(aig)``, node features)."""
+    return normalized_adjacency(aig), node_features(aig)
 
 
 class PolicyNetwork:

@@ -488,6 +488,9 @@ def test_bench_jobs_below_one_exits_two(tmp_path, capsys, jobs):
     # a field past the csv module's 131,072-character limit
     pytest.param("val.csv", "x" * 131073, id="val.csv-oversized_field"),
     pytest.param("bank.csv", "x" * 131073, id="bank.csv-oversized_field"),
+    pytest.param("val.csv", "{circuit},2", id="val.csv-label_2"),
+    pytest.param("bank.csv", "c,16,nan" + ",1" * 15, id="bank.csv-nan"),
+    pytest.param("bank.csv", "c,16" + ",0" * 16, id="bank.csv-zero_norm"),
 ])
 def test_calibrate_malformed_csv_row_exits_two(tmp_path, capsys, bad_file,
                                                bad_row):
@@ -531,6 +534,169 @@ def test_non_utf8_csv_names_the_file(tmp_path, capsys, command, content,
     assert run(argv) == 2
     err = _assert_one_line_error(capsys)
     assert f"{bad}: line {line}:" in err
+
+
+@pytest.mark.parametrize("bad_file, content, message", [
+    ("bank.csv", "circuit_id,dim,values\nc,2,1,0\nd,3,1,0,0\n",
+     "line 3: embedding dimension mismatch"),
+    ("val.csv", "circuit,label\n", "validation set is empty"),
+], ids=["bank.csv-two_widths", "val.csv-header_only"])
+def test_calibrate_csv_file_errors_name_the_file(tmp_path, capsys, bad_file,
+                                                 content, message):
+    circuit, model, bank = _gate_inputs(tmp_path)
+    validation = tmp_path / "val.csv"
+    validation.write_text(f"circuit,label\n{circuit},0\n")
+    bad = tmp_path / bad_file
+    bad.write_text(content)
+    capsys.readouterr()
+    assert run(["calibrate", "--model", str(model), "--bank", str(bank),
+                "--validation", str(validation),
+                "--out", str(tmp_path / "ood.json")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert f"{bad}: {message}" in err
+
+
+@pytest.mark.parametrize("bank_kind", ["empty", "wider"])
+@pytest.mark.parametrize("command", ["calibrate", "search", "bench"])
+def test_gate_bank_is_checked_against_the_model(tmp_path, capsys, command,
+                                                bank_kind):
+    from aigopt.aig import parse_aiger
+    from aigopt.ood import EmbeddingBank
+    from aigopt.policy import PolicyConfig, PolicyNetwork
+
+    circuit, model, bank = _gate_inputs(tmp_path)  # model d_hidden 8
+    if bank_kind == "empty":
+        bank.write_text("circuit_id,dim,values\n")
+        message = "embedding bank is empty"
+    else:
+        wide = PolicyNetwork(PolicyConfig(d_hidden=16, d_emb=4, d_head=8,
+                                          gcn_layers=2))
+        wider = EmbeddingBank()
+        wider.add("c", wide.encode_aig(parse_aiger(circuit.read_bytes())))
+        wider.save_csv(bank)
+        message = "bank embeddings have 32 values, but the model's have 16"
+    gate = tmp_path / "ood.json"
+    if command == "calibrate":
+        validation = tmp_path / "val.csv"
+        validation.write_text(f"circuit,label\n{circuit},0\n")
+        argv = ["calibrate", "--validation", str(validation),
+                "--out", str(gate)]
+    elif command == "search":
+        gate.write_text('{"delta_th": 0.5}')
+        argv = ["search", "--aig", str(circuit), "--alpha", "auto",
+                "--ood-config", str(gate), "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]
+    else:
+        argv = ["bench", "--test", str(circuit), "--methods",
+                "pure_mcts,agent_ood", "--delta-th", "0.5", "--budget", "4",
+                "--k", "2", "--out-dir", str(tmp_path / "r")]
+    capsys.readouterr()
+    assert run([*argv, "--model", str(model), "--bank", str(bank)]) == 2
+    err = _assert_one_line_error(capsys)
+    assert f"{bank}: {message}" in err
+
+
+@pytest.mark.parametrize("header", ["circuit,label\n", ""],
+                         ids=["header", "headerless"])
+def test_calibrate_reads_validation_from_a_pipe(tmp_path, header):
+    import os
+    import sys
+
+    import aigopt
+
+    circuit, model, bank = _gate_inputs(tmp_path)
+    other = tmp_path / "m.aag"
+    run(["gen", "--family", "mux_tree", "--size", "2", "--out", str(other)])
+    rows = f"{header}{circuit},0\n{other},1\n"
+    validation = tmp_path / "val.csv"
+    validation.write_text(rows)
+    gate = ["--model", str(model), "--bank", str(bank)]
+    assert run(["calibrate", *gate, "--validation", str(validation),
+                "--out", str(tmp_path / "file/ood.json")]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(aigopt.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "aigopt.cli", "calibrate", *gate,
+         "--validation", "/dev/stdin", "--out", str(tmp_path / "pipe/ood.json")],
+        input=rows, capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert ((tmp_path / "pipe/ood.json").read_bytes()
+            == (tmp_path / "file/ood.json").read_bytes())
+
+
+_FUZZ_VALUES = ["nan", "inf", "-inf", "0", "1e400", "-1e400", "x", ""]
+_FUZZ_LABELS = ["0", "1", "2", "-1", "x", "", "nan", "1e400", "0.5"]
+
+
+def _fuzz_csv(rng, rows, label_only):
+    """One seeded mutation of ``rows`` (lists of fields, the header first),
+    returned as file text. With ``label_only`` (a validation file) the first
+    field of every row, the circuit path, stays whole."""
+    rows = [list(row) for row in rows]
+    row = rng.choice(rows[1:])
+    kind = rng.choice(["field", "field", "drop", "extra", "header",
+                       "truncate"] + ([] if label_only else ["zeros", "width"]))
+    if kind == "field":
+        i = 1 if label_only else rng.randrange(1, len(row))
+        pool = _FUZZ_LABELS if label_only or i == 1 else _FUZZ_VALUES
+        row[i] = rng.choice(pool + [str(rng.randint(-2, 20))])
+    elif kind == "drop":
+        del row[rng.randrange(1, len(row)):]  # dropped trailing fields
+    elif kind == "extra":
+        row.append(rng.choice(_FUZZ_VALUES))
+    elif kind == "zeros":
+        row[2:] = ["0"] * (len(row) - 2)
+    elif kind == "width":  # one value fewer, dim agreeing
+        del row[-1]
+        row[1] = str(len(row) - 2)
+    elif kind == "header":
+        del rows[0]
+    text = "".join(",".join(r) + "\n" for r in rows)
+    if kind == "truncate":
+        # cut at a line end, or within the last row's label or values
+        ends = [i for i, ch in enumerate(text) if ch == "\n"]
+        last = text.rindex(",", 0, ends[-1]) + 1
+        cut = rng.choice([*ends[:-1], rng.randint(last, ends[-1])])
+        text = text[:cut]
+    return text
+
+
+def test_calibrate_fuzzed_bank_and_validation_exit_cleanly(tmp_path, capsys):
+    """Seeded mutations of a valid bank and validation file: each run of
+    ``calibrate`` exits 0, or exits 2 with one error line naming the file."""
+    import random
+
+    circuit, model, bank = _gate_inputs(tmp_path)
+    other = tmp_path / "m.aag"
+    run(["gen", "--family", "mux_tree", "--size", "2", "--out", str(other)])
+    validation = tmp_path / "val.csv"
+    validation.write_text(f"circuit,label\n{circuit},0\n{other},1\n")
+    with open(bank, newline="") as fh:
+        bank_rows = list(csv.reader(fh))
+    bank_rows.append(["d", *bank_rows[1][1:]])
+    val_rows = [line.split(",") for line in
+                validation.read_text().splitlines()]
+    clean = {bank: "".join(",".join(r) + "\n" for r in bank_rows),
+             validation: validation.read_text()}
+    codes = []
+    for seed in range(64):
+        rng = random.Random(seed)
+        target = rng.choice([bank, validation])
+        for path, text in clean.items():
+            path.write_text(text)
+        target.write_text(_fuzz_csv(
+            rng, bank_rows if target == bank else val_rows,
+            label_only=target == validation))
+        capsys.readouterr()
+        code = run(["calibrate", "--model", str(model), "--bank", str(bank),
+                    "--validation", str(validation),
+                    "--out", str(tmp_path / "ood.json")])
+        err = capsys.readouterr().err
+        assert code in (0, 2), (seed, err)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert str(target) in err, (seed, err)
+        codes.append(code)
+    assert 0 in codes and 2 in codes
 
 
 def test_bench_command(tmp_path):
