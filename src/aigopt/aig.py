@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 from .isop import var_mask
@@ -265,12 +266,7 @@ def _parse_ascii_body(body: bytes, maxvar: int, n_in: int, n_out: int,
         if lit < 2 or lit & 1 or lit > 2 * maxvar:
             raise AigerError(f"invalid input literal {lit}")
         inputs.append(lit)
-    outputs = []
-    for _ in range(n_out):
-        lit, = ints(next_line(), 1, "output")
-        if lit < 0 or lit > 2 * maxvar + 1:
-            raise AigerError(f"invalid output literal {lit}")
-        outputs.append(lit)
+    outputs = [ints(next_line(), 1, "output")[0] for _ in range(n_out)]
     gates = []
     for _ in range(n_and):
         lhs, rhs0, rhs1 = ints(next_line(), 3, "and-gate")
@@ -281,12 +277,12 @@ def _parse_ascii_body(body: bytes, maxvar: int, n_in: int, n_out: int,
 
 
 def _parse_binary_body(body: bytes, maxvar: int, n_in: int, n_out: int,
-                       n_and: int) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
+                       n_and: int) -> tuple[range, list[int], list[tuple[int, int, int]]]:
     # Binary AIGER: inputs are implicit variables 1..I; outputs are ASCII
     # lines; gates are delta-encoded LEB128 pairs in variable order.
     if maxvar != n_in + n_and:
         raise AigerError("binary AIGER requires maxvar = inputs + ands")
-    inputs = [2 * (i + 1) for i in range(n_in)]
+    inputs = range(2, 2 * n_in + 1, 2)
     pos = 0
     outputs = []
     for _ in range(n_out):
@@ -326,35 +322,25 @@ def _parse_binary_body(body: bytes, maxvar: int, n_in: int, n_out: int,
     return inputs, outputs, gates
 
 
-def _build_from_gates(inputs: list[int], outputs: list[int],
+def _build_from_gates(inputs: list[int] | range, outputs: list[int],
                       gates: list[tuple[int, int, int]], name: str) -> Aig:
-    pi_slot: dict[int, int] = {}
+    lits = {0: 0}  # variable -> builder literal; add_cones adds the gates'
     for slot, lit in enumerate(inputs):
-        var = lit >> 1
-        if var in pi_slot:  # input literals are >= 2, so var 0 is not one
-            raise AigerError(f"variable {var} defined twice")
-        pi_slot[var] = slot
+        if lit >> 1 in lits:
+            raise AigerError(f"variable {lit >> 1} defined twice")
+        lits[lit >> 1] = 2 * (1 + slot)
     gate_def: dict[int, tuple[int, int]] = {}
     for lhs, rhs0, rhs1 in gates:
         var = lhs >> 1
-        if var in pi_slot or var in gate_def or var == 0:
+        if var in lits or var in gate_def:
             raise AigerError(f"variable {var} defined twice")
         gate_def[var] = (rhs0, rhs1)
-
-    def check_ref(lit: int) -> None:
-        var = lit >> 1
-        if var != 0 and var not in pi_slot and var not in gate_def:
+    # A negative literal, or one past 2M+1, names no defined variable.
+    for lit in chain(chain.from_iterable(gate_def.values()), outputs):
+        if lit >> 1 not in lits and lit >> 1 not in gate_def:
             raise AigerError(f"dangling literal {lit}")
 
-    for rhs0, rhs1 in gate_def.values():
-        check_ref(rhs0)
-        check_ref(rhs1)
-    for lit in outputs:
-        check_ref(lit)
-
     builder = AigBuilder(len(inputs), name)
-    lits = {var: builder.pi(slot) for var, slot in pi_slot.items()}
-    lits[0] = 0
     # ASCII files may list gates out of order; build depth-first.
     try:
         builder.add_cones(gate_def, gate_def.__getitem__, lits)

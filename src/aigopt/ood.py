@@ -39,8 +39,8 @@ class OodConfig:
     @classmethod
     def load(cls, path) -> "OodConfig":
         """Reads a gate file; a file that is not UTF-8 JSON, or a field that
-        is not a JSON number (true and false are not) or is too large for a
-        float, raises ValueError naming the file."""
+        is not a JSON number (true and false are not), is too large for a
+        float or is out of range, raises ValueError naming the file."""
         try:
             with open(path, encoding="utf-8") as fh:
                 gate = json.load(fh)
@@ -53,6 +53,8 @@ class OodConfig:
                 return cls(*map(float, values))
             except OverflowError:  # an integer past float range
                 pass
+            except ValueError as exc:  # a value out of range
+                raise ValueError(f"{path}: {exc}") from None
         raise ValueError(f"{path}: OOD config needs a numeric delta_th "
                          "(and optional temperature) within float range")
 
@@ -69,7 +71,11 @@ class EmbeddingBank:
             raise ValueError("embedding dimension mismatch")
         if not np.all(np.isfinite(h)):
             raise ValueError("embedding contains non-finite values")
-        if np.linalg.norm(h) == 0.0:
+        with np.errstate(over="ignore"):
+            squared_norm = np.dot(h, h)
+        if not np.isfinite(squared_norm):
+            raise ValueError("embedding norm overflows float range")
+        if squared_norm == 0.0:
             raise ValueError("cosine distance undefined for zero-norm vectors")
         self.entries.append((circuit_id, h))
 
@@ -128,16 +134,22 @@ def read_rows(reader, path):
 
 
 def cosine_distance(h1: np.ndarray, h2: np.ndarray) -> float:
-    """1 - cos(h1, h2), in [0, 2]. Zero-norm inputs are rejected."""
+    """1 - cos(h1, h2), in [0, 2]. Zero-norm inputs are rejected, and so
+    are inputs whose norms or dot product overflow float range."""
     a = np.asarray(h1, dtype=np.float64)
     b = np.asarray(h2, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("embedding dimension mismatch")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        na = np.linalg.norm(a)
+        nb = np.linalg.norm(b)
+        norms = na * nb
+        dot = float(np.dot(a, b))
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine distance undefined for zero-norm vectors")
-    d = 1.0 - float(np.dot(a, b)) / (na * nb)
+    if not (math.isfinite(dot) and math.isfinite(norms)):
+        raise ValueError("cosine distance overflows float range")
+    d = 1.0 - dot / norms
     return min(2.0, max(0.0, d))
 
 

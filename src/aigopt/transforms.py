@@ -9,7 +9,8 @@ never increases depth. Every pass falls back to returning its input
 unchanged if the objective guard would be violated. ``apply`` is the one
 place that reuses pass results: it memoizes them by circuit structure in a
 least-recently-used memo bounded by the ANDs it holds, which always keeps
-its hundred newest entries.
+its hundred newest entries. A graph with no AND, every pass's fixed point,
+``apply`` returns itself without running a pass.
 
 ``_sweep`` owns the working net: for each AND ``v`` it walks the deletion
 once (``_Net._deref``), may skip the visit, asks the pass's visit for a trial
@@ -323,8 +324,6 @@ def _sweep(aig: Aig, zero_cost: bool, visit) -> Aig:
     Each AND is live and unreplaced when the sweep reaches it: an ``Aig``
     keeps only reachable ANDs, a commit lowers only counts at or below its
     own node, and only ``v``'s commit sets ``repl[v]``."""
-    if not aig.ands:
-        return aig
     net = _Net(aig)
     min_gain = 0 if zero_cost else 1
     for v in range(aig.first_and(), aig.n_nodes):
@@ -361,8 +360,6 @@ def balance(aig: Aig) -> Aig:
     operands are combined cheapest-level-first, so the depth of each rebuilt
     root never exceeds its original level.
     """
-    if not aig.ands:
-        return aig
     builder = AigBuilder(aig.n_inputs, aig.name)
     fanouts = aig.fanout_counts
     first_and = aig.first_and()
@@ -744,11 +741,12 @@ def _side_divisors(net: _Net, v: int, interior: list[int], leaves: list[int],
 
 
 # By (divisor count, complemented): the candidate over the divisor literals
-# as a ``_compile``d program, for d0, !d0, d0 & d1 and !d0 | !d1.
-_RESUB_PROGS = {(1, False): ((), 1, 0),
-                (1, True): ((), 1, 1),
-                (2, False): (((1, 0, 2, 0, 0),), 3, 0),
-                (2, True): (((1, 0, 2, 0, 1),), 3, 0)}
+# d0 and d1 as a ``_compile``d program.
+_RESUB_PROGS = {
+    (1, False): _compile(("var", 0, False), 1),
+    (1, True): _compile(("var", 0, True), 1),
+    (2, False): _compile(("and", ("var", 0, False), ("var", 1, False)), 2),
+    (2, True): _compile(("or", ("var", 0, True), ("var", 1, True)), 2)}
 
 
 def _resub_pairs(divisors: list[tuple[int, int]], tt_v: int, ones: int):
@@ -936,6 +934,8 @@ class _PassMemo:
         self.ands = 0
 
     def apply(self, aig: Aig, action: Action) -> Aig:
+        if not aig.ands:
+            return aig  # every pass's fixed point: no run, no entry
         key = _memo_key(aig, action)
         hit = self._entries.get(key)
         if hit is not None:
@@ -963,7 +963,8 @@ _MEMO = _PassMemo(_MEMO_MAX_ANDS, _MEMO_MIN_ENTRIES)
 
 def apply(aig: Aig, action: Action) -> Aig:
     """Applies one pass; the result is functionally equivalent to the input
-    and the input is never mutated. Results are memoized by structure, so a
+    and the input is never mutated. A graph with no AND is returned itself,
+    with no pass run. Other results are memoized by structure, so a
     repeated (circuit, action) pair returns the stored graph."""
     return _MEMO.apply(aig, Action(action))
 

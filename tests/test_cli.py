@@ -491,6 +491,8 @@ def test_bench_jobs_below_one_exits_two(tmp_path, capsys, jobs):
     pytest.param("val.csv", "{circuit},2", id="val.csv-label_2"),
     pytest.param("bank.csv", "c,16,nan" + ",1" * 15, id="bank.csv-nan"),
     pytest.param("bank.csv", "c,16" + ",0" * 16, id="bank.csv-zero_norm"),
+    pytest.param("bank.csv", "c,16" + ",1e200" * 16,
+                 id="bank.csv-norm_overflow"),
 ])
 def test_calibrate_malformed_csv_row_exits_two(tmp_path, capsys, bad_file,
                                                bad_row):
@@ -772,6 +774,24 @@ def test_search_non_finite_gate_config_exits_two(tmp_path, capsys, gate):
     err = _assert_one_line_error(capsys)
     assert "delta_th" in err or "temperature" in err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("gate", [
+    '{"delta_th": -1}', '{"delta_th": NaN}',
+    '{"delta_th": 0.1, "temperature": -2}',
+    '{"delta_th": 0.1, "temperature": Infinity}'])
+def test_search_gate_config_out_of_range_names_the_file(tmp_path, capsys,
+                                                        gate):
+    circuit, model, bank = _gate_inputs(tmp_path)
+    ood_json = tmp_path / "ood.json"
+    ood_json.write_text(gate + "\n")
+    capsys.readouterr()
+    assert run(["search", "--aig", str(circuit), "--alpha", "auto",
+                "--model", str(model), "--bank", str(bank),
+                "--ood-config", str(ood_json), "--budget", "4", "--k", "2",
+                "--out-dir", str(tmp_path / "r")]) == 2
+    err = _assert_one_line_error(capsys)
+    assert f"{ood_json}: " in err
 
 
 @pytest.mark.parametrize("content", [b"", b"{delta_th: 0.5}\n", b"\xff\n"],
@@ -1122,6 +1142,18 @@ def test_binary_aiger_exhausting_memory_exits_two(tmp_path):
                                  "--alpha", "0", "--budget", "4", "--k", "2",
                                  "--out-dir", str(tmp_path / "r")])
     _assert_out_of_memory_exit(result, tmp_path / "r")
+
+
+def test_binary_aiger_of_inputs_only_runs_in_bounded_memory(tmp_path):
+    # 2^20 implicit inputs and no AND: the reader keeps one table entry per
+    # input, and no pass runs on a graph with no AND.
+    circuit = tmp_path / "wide.aig"
+    circuit.write_bytes(b"aig 1048576 1048576 0 1 0\n2\n")
+    result = _run_memory_capped(["search", "--aig", str(circuit),
+                                 "--alpha", "0", "--budget", "4", "--k", "2",
+                                 "--out-dir", str(tmp_path / "r")])
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "r" / "result.json").exists()
 
 
 def test_model_exhausting_memory_exits_two(tmp_path):

@@ -72,6 +72,15 @@ def test_cosine_zero_norm_rejected():
         cosine_distance(np.zeros(3), np.ones(3))
 
 
+@pytest.mark.parametrize("a, b", [
+    ([1e200, 1e200], [1e200, -1e200]),  # read 0.0 for a pair 1.0 apart
+    ([1e300, 1.0], [1.0, 0.0]),  # read 1.0 for a pair 0.0 apart
+])
+def test_cosine_overflow_rejected(a, b):
+    with pytest.raises(ValueError, match="overflows float range"):
+        cosine_distance(np.array(a), np.array(b))
+
+
 def test_cosine_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         cosine_distance(np.ones(3), np.ones(4))

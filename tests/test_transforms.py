@@ -493,12 +493,18 @@ def test_cone_tt_fanin_record_is_a_pure_cache(monkeypatch, budget):
 # apply / apply_recipe
 # ---------------------------------------------------------------------------
 
-def test_apply_constant_circuit_unchanged():
-    g = parse_aiger(b"aag 0 0 0 1 0\n0\n")
+@pytest.mark.parametrize("text", [
+    b"aag 0 0 0 1 0\n0\n",
+    b"aag 3 3 0 4 0\n2\n4\n6\n7\n1\n4\n0\n",
+    b"aag 2 2 0 0 0\n2\n4\n",
+], ids=["constant", "inputs", "no_outputs"])
+def test_apply_returns_a_graph_without_ands_itself(pass_runs, text):
+    g = parse_aiger(text)
     for action in Action:
-        h = apply(g, action)
-        assert ((len(h.ands), h.depth, h.n_inputs, h.n_outputs)
-                == (len(g.ands), g.depth, g.n_inputs, g.n_outputs))
+        assert apply(g, action) is g, action
+    assert pass_runs == []
+    for action, run_pass in transforms._PASSES.items():
+        assert write_aiger(run_pass(g)) == write_aiger(g), action
 
 
 def test_apply_balance_on_chain():
