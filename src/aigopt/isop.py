@@ -36,18 +36,13 @@ def var_mask(v: int, n_vars: int) -> int:
     return mask
 
 
-def cofactor0(tt: int, v: int, n_vars: int) -> int:
-    lo = tt & ~var_mask(v, n_vars)
-    return lo | (lo << (1 << v))
-
-
-def cofactor1(tt: int, v: int, n_vars: int) -> int:
-    hi = tt & var_mask(v, n_vars) & tt_ones(n_vars)
-    return hi | (hi >> (1 << v))
-
-
-def tt_depends_on(tt: int, v: int, n_vars: int) -> bool:
-    return cofactor0(tt, v, n_vars) != cofactor1(tt, v, n_vars)
+def cofactors(tt: int, v: int, n_vars: int) -> tuple[int, int]:
+    """The cofactors of ``tt`` at variable ``v`` = 0 and at ``v`` = 1, each
+    spread over both halves of the table."""
+    mask = var_mask(v, n_vars)
+    lo = tt & ~mask
+    hi = tt & mask & tt_ones(n_vars)
+    return lo | (lo << (1 << v)), hi | (hi >> (1 << v))
 
 
 def isop(on: int, dc: int, n_vars: int) -> list[Cube]:
@@ -67,17 +62,14 @@ def _isop_rec(lower: int, upper: int, top: int, n_vars: int) -> tuple[list[Cube]
     ones = tt_ones(n_vars)
     if upper == ones:
         return [(0, 0)], ones
-    v = top - 1
-    while v >= 0:
-        if tt_depends_on(lower, v, n_vars) or tt_depends_on(upper, v, n_vars):
+    # The top variable that either bound depends on, with its cofactors.
+    for v in range(top - 1, -1, -1):
+        l0, l1 = cofactors(lower, v, n_vars)
+        u0, u1 = cofactors(upper, v, n_vars)
+        if l0 != l1 or u0 != u1:
             break
-        v -= 1
-    if v < 0:  # constant but upper != ones and lower != 0: inconsistent
+    else:  # constant but upper != ones and lower != 0: inconsistent
         raise ValueError("isop bounds violated (lower not within upper)")
-    l0 = cofactor0(lower, v, n_vars)
-    l1 = cofactor1(lower, v, n_vars)
-    u0 = cofactor0(upper, v, n_vars)
-    u1 = cofactor1(upper, v, n_vars)
     # Minterms only coverable with a !v (resp. v) literal.
     c0, f0 = _isop_rec(l0 & ~u1 & ones, u0, v, n_vars)
     c1, f1 = _isop_rec(l1 & ~u0 & ones, u1, v, n_vars)

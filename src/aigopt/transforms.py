@@ -503,14 +503,15 @@ def _resynth(tt: int, n_vars: int) -> tuple:
     return _compile(factor(isop(tt, 0, n_vars)), n_vars)
 
 
-def _select_cuts(keys0: list, keys1: list) -> list[tuple]:
-    """The merged cuts kept for an AND whose fanin nodes have the cut keys
-    ``keys0`` and ``keys1``, as ``(leaves, leaf set, signature, all-ones
-    table, fanin table 0, fanin table 1)``, the fanin tables expanded over
-    the leaves and not complemented."""
+def _select_cuts(cuts0: list, cuts1: list) -> list[tuple]:
+    """The merged cuts kept for an AND whose fanin nodes have the cut
+    records ``cuts0`` and ``cuts1`` (as ``_enumerate_cuts`` holds them), as
+    ``(leaves, leaf set, signature, all-ones table, fanin table 0, fanin
+    table 1)``, the fanin tables expanded over the leaves and not
+    complemented."""
     cand = {}
-    for sig0, s0, t0 in keys0:
-        for sig1, s1, t1 in keys1:
+    for _, s0, sig0, t0 in cuts0:
+        for _, s1, sig1, t1 in cuts1:
             sig = sig0 | sig1
             if sig.bit_count() > _CUT_SIZE:
                 continue
@@ -532,17 +533,27 @@ def _select_cuts(keys0: list, keys1: list) -> list[tuple]:
     return kept
 
 
-def _enumerate_cuts(aig: Aig):
-    """Returns, per node, a list of (leaf-var tuple, truth table) cuts.
+def _unit_cut(u: int) -> tuple:
+    """The cut record of node ``u`` over itself: the first cut of every
+    node, and an input's only one."""
+    return (u,), frozenset((u,)), 1 << (u & 63), 0b10
+
+
+def _enumerate_cuts(aig: Aig) -> dict[int, list[tuple]]:
+    """Returns, by node, the list of cut records ``(leaves, leaf set,
+    signature, truth table)`` of the constant node (its one cut has no
+    leaf) and of each AND. An input's one cut, ``_unit_cut``, is built
+    only when an AND reads that input, so an input no AND reads costs
+    nothing.
 
     The unit cut comes first; the remaining slots hold the smallest merged
     cuts by (leaf count, leaf tuple): at most ``_CUTS_PER_NODE`` cuts of at
     most ``_CUT_SIZE`` leaves each. When two pairs of fanin cuts give the same
     leaves, the first pair's truth table is kept.
 
-    Each cut carries a signature, the OR of ``1 << (leaf & 63)`` over its
-    leaves. A pair whose signatures' OR has more than ``_CUT_SIZE`` bits has
-    more leaves than that, and is rejected before its leaf sets are merged;
+    A cut's signature is the OR of ``1 << (leaf & 63)`` over its leaves. A
+    pair whose signatures' OR has more than ``_CUT_SIZE`` bits has more
+    leaves than that, and is rejected before its leaf sets are merged;
     leaves that share a bit only lower the count, so no fitting pair is lost.
 
     Only the kept cuts are expanded. Expansion commutes with complement, so
@@ -551,12 +562,7 @@ def _enumerate_cuts(aig: Aig):
     earlier AND, as the halves of an XOR or a MUX are, keeps the same leaves
     and applies only its own complements.
     """
-    cuts: list[list[tuple[tuple[int, ...], int]]] = [[((), 0)]]
-    cuts += [[((v,), 0b10)] for v in range(1, 1 + aig.n_inputs)]
-    # keys[v][k]: the signature, leaf set and truth table of cuts[v][k]
-    keys = [[(0, frozenset(), 0)]]
-    keys += [[(1 << (v & 63), frozenset((v,)), 0b10)]
-             for v in range(1, 1 + aig.n_inputs)]
+    cuts = {0: [((), frozenset(), 0, 0)]}
     # selected[(u0, u1)]: the kept cuts of an AND over nodes u0 and u1, each
     # with both fanin tables expanded and not yet complemented
     selected: dict[tuple[int, int], list[tuple]] = {}
@@ -564,15 +570,13 @@ def _enumerate_cuts(aig: Aig):
         pair = (l0 >> 1, l1 >> 1)
         kept = selected.get(pair)
         if kept is None:
-            kept = selected[pair] = _select_cuts(keys[l0 >> 1], keys[l1 >> 1])
-        row = [((v,), 0b10)]
-        key_row = [(1 << (v & 63), frozenset((v,)), 0b10)]
+            cuts0, cuts1 = (cuts.get(u) or [_unit_cut(u)] for u in pair)
+            kept = selected[pair] = _select_cuts(cuts0, cuts1)
+        row = [_unit_cut(v)]
         for merged, leaf_set, sig, ones, t0, t1 in kept:
             tt = (t0 ^ ones if l0 & 1 else t0) & (t1 ^ ones if l1 & 1 else t1)
-            row.append((merged, tt))
-            key_row.append((sig, leaf_set, tt))
-        cuts.append(row)
-        keys.append(key_row)
+            row.append((merged, leaf_set, sig, tt))
+        cuts[v] = row
     return cuts
 
 
@@ -595,7 +599,7 @@ def rewrite(aig: Aig, zero_cost: bool = False) -> Aig:
         resolve = net.resolve
         best = None
         limit = min_gain  # ties go to the earlier cut
-        for leaves, tt in cuts[v][1:]:
+        for leaves, _, _, tt in cuts[v][1:]:
             if ceiling < limit:
                 break  # no trial can reach the limit
             lits = [resolve(2 * w) for w in leaves]
@@ -715,10 +719,11 @@ _RESUB_SIDE_CAP = 32
 
 
 def _side_divisors(net: _Net, v: int, interior: list[int], leaves: list[int],
-                   mffc: set[int], fanout_lists: list[list[int]]) -> list[int]:
-    """Original-graph nodes outside the fanin window whose support lies
-    within the window leaves (bottom-up closure over snapshot fanouts)."""
-    n0 = len(fanout_lists)
+                   mffc: set[int], fanouts: dict[int, list[int]]) -> list[int]:
+    """Original-graph nodes outside the fanin window and outside ``mffc``
+    whose support lies within the window leaves: a bottom-up closure over
+    ``fanouts``, the AND fanouts of each node of the graph the pass read.
+    Nodes that commits added have no entry there, so they admit nothing."""
     f0, f1, level = net.f0, net.f1, net.level
     top = level[v]
     in_window = {0, *leaves, *interior}
@@ -728,9 +733,7 @@ def _side_divisors(net: _Net, v: int, interior: list[int], leaves: list[int],
     while fi < len(frontier) and len(admitted) < _RESUB_SIDE_CAP:
         s = frontier[fi]
         fi += 1
-        if s >= n0:
-            continue
-        for u in fanout_lists[s]:
+        for u in fanouts.get(s, ()):
             if u == v or u in in_window or u in mffc or level[u] > top:
                 continue
             if f0[u] >> 1 in in_window and f1[u] >> 1 in in_window:
@@ -794,11 +797,11 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
     screened on these exact tables: single divisors first, then pairs; the
     first that passes is kept.
     """
-    first_and = aig.first_and()
-    fanout_lists: list[list[int]] = [[] for _ in range(aig.n_nodes)]
-    for k, (f0, f1) in enumerate(aig.ands):
-        fanout_lists[f0 >> 1].append(first_and + k)
-        fanout_lists[f1 >> 1].append(first_and + k)
+    # fanouts[u]: the ANDs that read node u, for the nodes that have one
+    fanouts: dict[int, list[int]] = {}
+    for w, (l0, l1) in enumerate(aig.ands, aig.first_and()):
+        fanouts.setdefault(l0 >> 1, []).append(w)
+        fanouts.setdefault(l1 >> 1, []).append(w)
 
     def visit(net: _Net, v: int, deref, min_gain: int, ceiling: int):
         f0, f1, level = net.f0, net.f1, net.level
@@ -839,22 +842,21 @@ def resub(aig: Aig, zero_cost: bool = False) -> Aig:
             return None
         tt_v = memo[v]
         mffc = set(deref[1])
-        side = _side_divisors(net, v, interior, leaves, mffc, fanout_lists)
+        side = _side_divisors(net, v, interior, leaves, mffc, fanouts)
         # Window nodes are resolved already; side nodes may be replaced.
         window = [d for d in interior + leaves if d not in mffc]
         seen = {0, v, *window}  # nodes that give no divisor, or have given one
         divisor_lits = [2 * d for d in window]
         for d in side:
-            if d not in mffc:
-                r = resolve(2 * d)
-                if r >> 1 not in seen:
-                    seen.add(r >> 1)
-                    divisor_lits.append(r)
+            r = resolve(2 * d)
+            if r >> 1 not in seen:
+                seen.add(r >> 1)
+                divisor_lits.append(r)
         # By descending level, then literal: ``big`` exceeds every literal,
         # so each key is the literal less ``big`` times its level.
         big = 2 * len(f0)
-        keys = sorted(r - big * level[r >> 1] for r in divisor_lits)
-        divisor_lits = [key % big for key in keys[:_RESUB_DIVISOR_CAP]]
+        ranked = sorted(r - big * level[r >> 1] for r in divisor_lits)
+        divisor_lits = [key % big for key in ranked[:_RESUB_DIVISOR_CAP]]
         memo[v] = None  # a divisor whose cone holds v would close a cycle
         _cone_tt(net, [r >> 1 for r in divisor_lits if r >> 1 not in memo],
                  memo, ones, fanins)

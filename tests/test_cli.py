@@ -1156,6 +1156,19 @@ def test_binary_aiger_of_inputs_only_runs_in_bounded_memory(tmp_path):
     assert (tmp_path / "r" / "result.json").exists()
 
 
+def test_binary_aiger_with_one_and_over_many_inputs_runs_in_bounded_memory(
+        tmp_path):
+    # 2^20 implicit inputs and one AND over the first two: the passes keep
+    # cut rows and fanout lists only for nodes that an AND reads.
+    circuit = tmp_path / "wide.aig"
+    circuit.write_bytes(b"aig 1048577 1048576 0 1 1\n2097154\n\xfe\xff\x7f\x02")
+    result = _run_memory_capped(["search", "--aig", str(circuit),
+                                 "--alpha", "0", "--budget", "4", "--k", "2",
+                                 "--out-dir", str(tmp_path / "r")])
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "r" / "result.json").exists()
+
+
 def test_model_exhausting_memory_exits_two(tmp_path):
     # A valid checksum over a header whose d_hidden asks for terabytes.
     circuit = tmp_path / "a.aag"

@@ -162,7 +162,19 @@ def test_tt_expand_matches_bit_loop():
     assert len(transforms._EXPAND) == 31  # one entry per leaf-position pattern
 
 
-# sha256 of repr(_enumerate_cuts(g)), taken before cut truth tables moved to
+def _cut_rows(g):
+    """``_enumerate_cuts(g)`` as the list, one row per node, of ``(leaves,
+    truth table)`` cuts that it once returned: the constant's row, each
+    input's one unit cut, then each AND's row."""
+    cuts = transforms._enumerate_cuts(g)
+    assert set(cuts) == {0, *range(g.first_and(), g.n_nodes)}  # no input row
+    inputs = [[((v,), 0b10)] for v in range(1, g.first_and())]
+    ands = [[(leaves, tt) for leaves, _, _, tt in cuts[v]]
+            for v in range(g.first_and(), g.n_nodes)]
+    return [[(leaves, tt) for leaves, _, _, tt in cuts[0]]] + inputs + ands
+
+
+# sha256 of repr(_cut_rows(g)), taken before cut truth tables moved to
 # byte lookup tables. On the last two circuits the per-node cut limit drops
 # cuts at 235 of 324 and 106 of 218 ANDs, so the order and the truncation
 # of the kept cuts are pinned, not only their truth tables.
@@ -193,9 +205,8 @@ def test_cut_enumeration_matches_parent_digest():
     corpus = [ripple_adder(4), comparator(4), mux_tree(2),
               array_multiplier(3), random_dag(60, seed=1),
               array_multiplier(6), random_dag(400, seed=0)]
-    digests = {g.name: hashlib.sha256(
-        repr(transforms._enumerate_cuts(g)).encode()).hexdigest()
-        for g in corpus}
+    digests = {g.name: hashlib.sha256(repr(_cut_rows(g)).encode()).hexdigest()
+               for g in corpus}
     assert digests == _CUT_DIGESTS
     # An AND over the same fanin nodes as an earlier AND reuses that AND's
     # cut selection; enough of them repeat to exercise it.
@@ -246,7 +257,7 @@ def test_cut_signature_collisions_keep_fitting_cuts():
     d = bld.and_(c, x6)
     e = bld.and_(a, x131)
     g = bld.finish([d, e])
-    cuts = transforms._enumerate_cuts(g)
+    cuts = _cut_rows(g)
     assert cuts == _enumerate_cuts_reference(g)
     assert ((3, 67), 0b1000) in cuts[a >> 1]
     assert ((3, 5, 67, 69), 0x8000) in cuts[c >> 1]
@@ -639,7 +650,7 @@ def _rewrite_visits():
     for g in [ripple_adder(4), comparator(4), mux_tree(2), array_multiplier(3),
               random_dag(60, seed=1), array_multiplier(4),
               random_dag(400, seed=0)]:
-        cuts = transforms._enumerate_cuts(g)
+        cuts = _cut_rows(g)
         net = transforms._Net(g)
         for v in range(g.first_and(), g.n_nodes):
             deref = net._deref(v)
@@ -745,7 +756,7 @@ def test_program_trials_match_recursive_build():
     tables = {(tt, n) for n in range(4) for tt in range(1 << (1 << n))}
     for g in (array_multiplier(3), comparator(4), array_multiplier(6),
               random_dag(400, seed=0)):
-        for row in transforms._enumerate_cuts(g):
+        for row in _cut_rows(g):
             tables.update((tt, len(leaves)) for leaves, tt in row[1:])
     g = array_multiplier(3)
     net = transforms._Net(g)
